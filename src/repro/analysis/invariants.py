@@ -8,9 +8,8 @@ experiment CLI, or :func:`attach_invariant_checker` in code):
 * **Resource grant conservation** — every :class:`~repro.sim.Resource`
   created under the observer registers itself; at the end of each
   measurement (``_Runtime.finalize``) no grant may still be held and no
-  waiter may still be queued.  Environments running open-ended background
-  load (the "busy" experiments) are exempted, since their foreground
-  generators legitimately hold grants when the measured work completes.
+  waiter may still be queued.  This holds for the "busy" experiments too:
+  their foreground load is data in each disk's queue lane, never a grant.
 * **Repair byte conservation** — every repair profile the simulator
   consumes is checked against the theoretical repair bandwidth of its code:
   ``k * chunk`` for RS-style any-k repairs and ``chunk * (n-1)/r`` for
@@ -41,7 +40,6 @@ class InvariantChecker:
 
     def __init__(self):
         self.resources: list = []
-        self._exempt_envs: set[int] = set()
         self._expected_cache: dict[tuple[int, int, int], int] = {}
         self.stats = {
             "schedule_checks": 0,
@@ -73,14 +71,8 @@ class InvariantChecker:
         self.resources.append(resource)
         self.stats["resources_registered"] += 1
 
-    def exempt_env(self, env) -> None:
-        """Exclude an environment running open-ended background load."""
-        self._exempt_envs.add(id(env))
-
     def audit_env(self, env) -> None:
         """End-of-measurement audit: no grant held, no waiter queued."""
-        if id(env) in self._exempt_envs:
-            return
         for resource in self.resources:
             if resource.env is not env:
                 continue

@@ -45,6 +45,10 @@ class BenchSpec:
     #: work items one ``fn()`` call performs, for the per-unit rate
     units: int = 1
     repeats: int = 3
+    #: timed runs continue past ``repeats`` until they add up to at least
+    #: this many seconds, so the min of a short benchmark is taken over
+    #: enough samples to ride out host noise
+    min_seconds: float = 0.0
 
 
 @dataclass
@@ -62,13 +66,14 @@ class BenchResult:
 
 
 def run_spec(spec: BenchSpec, repeats: int | None = None) -> BenchResult:
-    """Time one spec: ``repeats`` runs, min wins; one untimed warmup run."""
+    """Time one spec: at least ``repeats`` runs and ``spec.min_seconds`` of
+    timed work, min wins; one untimed warmup run."""
     n = repeats if repeats is not None else spec.repeats
     if n < 1:
         raise ValueError("repeats must be >= 1")
     spec.fn()  # warmup: imports, table builds, allocator steady-state
-    times = []
-    for _ in range(n):
+    times: list[float] = []
+    while len(times) < n or sum(times) < spec.min_seconds:
         t0 = time.perf_counter()
         spec.fn()
         times.append(time.perf_counter() - t0)

@@ -2,7 +2,7 @@
 
 Micro benchmarks localize regressions; these catch the interactions the
 micros cannot — layout math, catalog ingest, degraded-read pipelines and
-the recovery scheduler all running together.  Both run the real
+the recovery scheduler all running together.  All run the real
 :func:`repro.runner.run_scenarios` path with the cache disabled (a cached
 macro benchmark would time JSON deserialization) at a reduced scale, so a
 bench run stays in CI budget while exercising the same code as
@@ -16,11 +16,15 @@ from repro.bench.harness import BenchSpec
 #: reduced scale for the fig13 recovery-bandwidth sweep
 _FIG13_OBJECTS = 1000
 
-#: reduced scale for the fig9 latency/recovery trade-off sweep — the
-#: degraded-read pipeline is the event-heaviest path the simulator has,
-#: so this is the macro that moves when the DES engine regresses
+#: reduced scale for the fig9/fig10 latency/recovery trade-off sweeps
+#: (the pinned CI configuration) — the degraded-read pipeline is the
+#: event-heaviest path the simulator has, so these are the macros that
+#: move when the DES engine or the foreground lane regresses
 _TRADEOFF_OBJECTS = 300
 _TRADEOFF_REQUESTS = 3
+
+#: every macro times at least this much work, however fast one run is
+_MIN_SECONDS = 0.5
 
 
 def _run(units) -> int:
@@ -49,10 +53,19 @@ def _tradeoff() -> int:
                                    n_requests=_TRADEOFF_REQUESTS))
 
 
+def _fig10_busy() -> int:
+    from repro.experiments import tradeoff
+
+    return _run(tradeoff.scenarios("W2", n_objects=_TRADEOFF_OBJECTS,
+                                   n_requests=_TRADEOFF_REQUESTS))
+
+
 def specs() -> list[BenchSpec]:
     """The macro suite (scenario wall-clock, cache off)."""
     return [
-        BenchSpec("scenario.fig4", "macro", _fig4, repeats=2),
-        BenchSpec("scenario.fig13", "macro", _fig13, repeats=2),
-        BenchSpec("scenario.tradeoff", "macro", _tradeoff, repeats=2),
+        BenchSpec(name, "macro", fn, repeats=2, min_seconds=_MIN_SECONDS)
+        for name, fn in (("scenario.fig4", _fig4),
+                         ("scenario.fig13", _fig13),
+                         ("scenario.tradeoff", _tradeoff),
+                         ("scenario.fig10_busy", _fig10_busy))
     ]

@@ -105,6 +105,13 @@ class Disk:
     gauges labelled by disk id.  ``run`` scopes the gauge labels to one
     measurement — time-weighted gauges cannot be shared across environments
     whose sim clocks each restart at zero.
+
+    Foreground load (:mod:`repro.cluster.foreground`) arms the queue with a
+    :class:`~repro.sim.lane.ForegroundLane`.  Its reads are plain data, so
+    the read counters and fault-state setters here fold the lane in:
+    :attr:`bytes_read` / :attr:`n_read_ios` include lane reads completed
+    by ``env.now``, and changing :attr:`speed_factor` or :attr:`failed`
+    brings the lane up to ``now`` first (a crash drops its pending reads).
     """
 
     def __init__(self, env: Environment, model: DiskModel, disk_id: int,
@@ -115,16 +122,68 @@ class Disk:
         instance = str(disk_id) if run is None else f"{run}.{disk_id}"
         self.queue = PriorityResource(env, capacity=1, obs=obs,
                                       kind="disk", instance=instance)
-        self.bytes_read = 0
+        self._bytes_read = 0
         self.bytes_written = 0
-        self.n_read_ios = 0
+        self._n_read_ios = 0
         self.n_write_ios = 0
         # Fault state, mutated only by a FaultInjector (repro.faults): a
         # crashed disk fails all I/O, a slowed disk stretches service
         # times, and pending_corrupt reads surface latent corruption.
-        self.failed = False
-        self.speed_factor = 1.0
+        self._failed = False
+        self._speed = 1.0
         self.pending_corrupt = 0
+
+    @property
+    def failed(self) -> bool:
+        """Crashed: all further I/O returns :data:`IO_FAILED`."""
+        return self._failed
+
+    @failed.setter
+    def failed(self, value: bool) -> None:
+        lane = self.queue.lane
+        if lane is None or not value or self._failed:
+            self._failed = value
+            return
+        lane.sync()
+        self._failed = True
+        lane.kill()
+        lane.replan()
+
+    @property
+    def speed_factor(self) -> float:
+        """Service-time multiplier (1.0 healthy, > 1 slowed)."""
+        return self._speed
+
+    @speed_factor.setter
+    def speed_factor(self, value: float) -> None:
+        lane = self.queue.lane
+        if lane is None:
+            self._speed = value
+            return
+        lane.sync()
+        self._speed = value
+        lane.replan()
+
+    @property
+    def bytes_read(self) -> int:
+        """Bytes delivered by completed reads (foreground lane included)."""
+        lane = self.queue.lane
+        if lane is None:
+            return self._bytes_read
+        return self._bytes_read + lane.done(self.env.now)[0]
+
+    @property
+    def n_read_ios(self) -> int:
+        """Discontinuous I/Os of completed reads (lane included)."""
+        lane = self.queue.lane
+        if lane is None:
+            return self._n_read_ios
+        return self._n_read_ios + lane.done(self.env.now)[1]
+
+    def count_read(self, n_ios: int, nbytes: int) -> None:
+        """Account a completed read issued outside :meth:`read`."""
+        self._bytes_read += nbytes
+        self._n_read_ios += n_ios
 
     def read(self, n_ios: int, nbytes: int, priority: int = FOREGROUND,
              span: int | None = None):
@@ -137,20 +196,20 @@ class Disk:
         queued read (hedged-retry timeout, :meth:`Process.interrupt`)
         cancels it rather than leaking the grant.
         """
-        if self.failed:
+        if self._failed:
             return IO_FAILED
         with self.queue.request(priority) as req:
             yield req
-            if self.failed:
+            if self._failed:
                 return IO_FAILED
             service = self.model.read_time(n_ios, nbytes, span)
-            if self.speed_factor != 1.0:
-                service *= self.speed_factor
+            if self._speed != 1.0:
+                service *= self._speed
             yield self.env.timeout(service)
-        if self.failed:
+        if self._failed:
             return IO_FAILED
-        self.bytes_read += nbytes
-        self.n_read_ios += n_ios
+        self._bytes_read += nbytes
+        self._n_read_ios += n_ios
         if self.pending_corrupt:
             self.pending_corrupt -= 1
             return IO_CORRUPT
@@ -161,17 +220,17 @@ class Disk:
 
         Returns :data:`IO_OK` / :data:`IO_FAILED` like :meth:`read`.
         """
-        if self.failed:
+        if self._failed:
             return IO_FAILED
         with self.queue.request(priority) as req:
             yield req
-            if self.failed:
+            if self._failed:
                 return IO_FAILED
             service = self.model.write_time(n_ios, nbytes)
-            if self.speed_factor != 1.0:
-                service *= self.speed_factor
+            if self._speed != 1.0:
+                service *= self._speed
             yield self.env.timeout(service)
-        if self.failed:
+        if self._failed:
             return IO_FAILED
         self.bytes_written += nbytes
         self.n_write_ios += n_ios

@@ -78,10 +78,9 @@ def measure_puts(system: RCStor, sizes, busy: bool = False,
                   label=f"{system.name}/puts")
     if busy:
         start_foreground_load(
-            rt.env, rt.disks, rt.rng,
+            rt.env, rt.disks, rt.seed,
             utilization=system.config.foreground_utilization,
-            mean_read_bytes=system.config.foreground_read_bytes,
-            invariants=rt.invariants)
+            mean_read_bytes=system.config.foreground_read_bytes)
     latencies: list[float] = []
     sizes = [int(s) for s in sizes]
 

@@ -131,6 +131,7 @@ class _Runtime:
                       for i in range(config.n_disks)]
         self.fabric = Fabric(self.env, config, obs=obs, run=run)
         self.nics = self.fabric.nics
+        self.seed = seed
         self.rng = np.random.default_rng(seed)
         # An *empty* plan is equivalent to no plan: no injector is built
         # and every fault branch stays cold, so the simulated numbers are
@@ -177,6 +178,8 @@ class _Runtime:
         run = f"{self.pid}:{self.label}"
         metrics = obs.metrics
         for disk in self.disks:
+            if disk.queue.lane is not None:
+                disk.queue.lane.publish(now)
             metrics.gauge("disk.utilization", run=run, disk=disk.disk_id
                           ).set(disk.queue.utilization(), now)
         for node, nic in enumerate(self.nics):
@@ -527,8 +530,7 @@ class RCStor:
             yield disk.env.timeout(disk.model.read_time(n_ios, nbytes))
         finally:
             disk.queue.release(req)
-        disk.bytes_read += nbytes
-        disk.n_read_ios += n_ios
+        disk.count_read(n_ios, nbytes)
 
     def measure_normal_reads(self, objects: list[StoredObject], busy: bool = False,
                              seed: int = 0, warmup: float = 2.0) -> list[float]:
@@ -537,10 +539,9 @@ class RCStor:
                       label=f"{self.name}/normal-reads")
         if busy:
             start_foreground_load(
-                rt.env, rt.disks, rt.rng,
+                rt.env, rt.disks, rt.seed,
                 utilization=self.config.foreground_utilization,
-                mean_read_bytes=self.config.foreground_read_bytes,
-                invariants=rt.invariants)
+                mean_read_bytes=self.config.foreground_read_bytes)
         times: list[float] = []
 
         def driver():
@@ -962,10 +963,9 @@ class RCStor:
                       label=f"{self.name}/degraded-reads", faults=faults)
         if busy:
             start_foreground_load(
-                rt.env, rt.disks, rt.rng,
+                rt.env, rt.disks, rt.seed,
                 utilization=self.config.foreground_utilization,
-                mean_read_bytes=self.config.foreground_read_bytes,
-                invariants=rt.invariants)
+                mean_read_bytes=self.config.foreground_read_bytes)
         results: list[DegradedReadResult] = []
         # Timeline telemetry: handles hoisted out of the driver generator
         # (OBS601) and gated on an armed timeline so plain snapshots are
@@ -1558,10 +1558,9 @@ class RCStor:
         env = rt.env
         if busy:
             start_foreground_load(
-                env, rt.disks, rt.rng,
+                env, rt.disks, rt.seed,
                 utilization=self.config.foreground_utilization,
-                mean_read_bytes=self.config.foreground_read_bytes,
-                invariants=rt.invariants)
+                mean_read_bytes=self.config.foreground_read_bytes)
         start = env.now
         done, meta = self._start_recovery(rt, failed_disk,
                                           weight_limit=weight_limit)

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_LCG_MUL = 6364136223846793005
+_LCG_INC = 1442695040888963407
 
 
 class Counter:
@@ -70,6 +74,28 @@ class Gauge:
     def add(self, delta: float, now: float) -> None:
         """Shift the level by ``delta`` at time ``now``."""
         self.set(self.value + delta, now)
+
+    def add_area(self, area: float, start: float, now: float,
+                 low: float | None = None,
+                 high: float | None = None) -> None:
+        """Fold in ``area`` = the integral over ``[start, now]`` of a level
+        tracked elsewhere (bulk updates: work too fine-grained for one
+        :meth:`set` per change).  The window grows to cover ``[start,
+        now]``; ``low``/``high`` (levels the folded work is known to
+        have reached) widen ``min``/``max``; the last value is unchanged.
+        """
+        if low is not None and low < self.min:
+            self.min = low
+        if high is not None and high > self.max:
+            self.max = high
+        if self._t_first is None:
+            self._t_first = self._t_last = start
+        elif start < self._t_first:
+            self._t_first = start
+        if now > self._t_last:
+            self._integral += self.value * (now - self._t_last)
+            self._t_last = now
+        self._integral += area
 
     def mean(self, now: float | None = None) -> float:
         """Time-weighted mean level over the observation window.
@@ -124,11 +150,50 @@ class Histogram:
             self._reservoir.append(value)
             return
         # Algorithm R with a deterministic 64-bit LCG.
-        self._state = (self._state * 6364136223846793005
-                       + 1442695040888963407) & _MASK64
+        self._state = (self._state * _LCG_MUL + _LCG_INC) & _MASK64
         slot = self._state % self.count
         if slot < self._capacity:
             self._reservoir[slot] = value
+
+    def observe_many(self, values) -> None:
+        """Record a batch: field for field what a loop of :meth:`observe`
+        over ``values`` records — the same ``total`` (summed in order),
+        extremes, reservoir and LCG state."""
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        if n == 0:
+            return
+        seen = self.count
+        self.count = seen + n
+        # add.accumulate sums left to right, exactly like the scalar loop.
+        self.total = float(np.add.accumulate(
+            np.concatenate(([self.total], values)))[-1])
+        low, high = float(values.min()), float(values.max())
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+        reservoir = self._reservoir
+        fill = min(n, self._capacity - len(reservoir))
+        reservoir.extend(values[:fill].tolist())
+        rest = n - fill
+        if rest == 0:
+            return
+        # Algorithm R for the remainder, with the LCG jumped ahead in
+        # closed form: state_j = MUL^j * state_0 + INC * (1 + ... + MUL^(j-1))
+        # (uint64 arithmetic wraps mod 2^64, as the mask does).
+        powers = np.cumprod(np.full(rest, _LCG_MUL, dtype=np.uint64))
+        geometric = np.cumsum(np.concatenate(
+            (np.ones(1, dtype=np.uint64), powers[:-1])))
+        states = (powers * np.uint64(self._state)
+                  + np.uint64(_LCG_INC) * geometric)
+        counts = np.arange(seen + fill + 1, seen + n + 1, dtype=np.uint64)
+        slots = states % counts
+        hits = np.flatnonzero(slots < self._capacity)
+        tail = values[fill:]
+        for slot, value in zip(slots[hits].tolist(), tail[hits].tolist()):
+            reservoir[slot] = value
+        self._state = int(states[-1])
 
     @property
     def mean(self) -> float:

@@ -33,6 +33,12 @@ time-weighted queue-depth / in-use gauges; without one the only cost is a
 single ``is not None`` test per request/grant/release.  If the observer
 carries an :class:`~repro.analysis.InvariantChecker` (``obs.invariants``),
 the resource registers itself for the end-of-run grant-leak audit.
+
+A capacity-1 resource can carry a :class:`~repro.sim.lane.ForegroundLane`
+(``resource.lane``): pre-drawn open-loop items that share the server with
+real requests without being processes.  Every grant path — ``request``,
+``release``, ``cancel`` — consults it, at the cost of one ``is not None``
+test when no lane is armed.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class Resource:
     __slots__ = ("env", "capacity", "in_use", "_waiters", "_n_cancelled",
                  "_seq", "_usage_integral", "_created", "_last_change",
                  "_obs", "_kind", "_depth_gauge", "_in_use_gauge",
-                 "_wait_hists")
+                 "_wait_hists", "lane")
 
     def __init__(self, env: Environment, capacity: int = 1, obs=None,
                  kind: str | None = None, instance: str | None = None):
@@ -113,6 +119,8 @@ class Resource:
         self._usage_integral = 0.0
         self._created = env.now
         self._last_change = env.now
+        #: Optional :class:`~repro.sim.lane.ForegroundLane` (armed by it).
+        self.lane = None
         # Optional metrics (per-lane waits, queue depth, units in use).
         self._obs = obs if (obs is not None and kind is not None) else None
         if self._obs is not None:
@@ -142,10 +150,14 @@ class Resource:
         they existed.
         """
         self._account()
-        elapsed = self.env.now - self._created
+        now = self.env.now
+        elapsed = now - self._created
         if elapsed <= 0:
             return 0.0
-        return self._usage_integral / elapsed / self.capacity
+        busy = self._usage_integral
+        if self.lane is not None:
+            busy += self.lane.busy_through(now)
+        return busy / elapsed / self.capacity
 
     @property
     def queue_length(self) -> int:
@@ -156,6 +168,9 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Request the resource; yields when granted."""
         req = Request(self.env, self, priority)
+        if self.lane is not None:
+            self.lane.admit(req)
+            return req
         waiters = self._waiters
         if self.in_use < self.capacity and len(waiters) == self._n_cancelled:
             if waiters:  # only cancelled husks remain: drop them
@@ -184,14 +199,20 @@ class Resource:
             self._observe_grant(req)
         req.succeed(req)
 
-    def _observe_grant(self, req: Request) -> None:
-        now = self.env.now
-        hist = self._wait_hists.get(req.priority)
+    def _wait_hist(self, priority: int):
+        """The ``queue_wait{lane=priority}`` histogram (None unobserved)."""
+        if self._obs is None:
+            return None
+        hist = self._wait_hists.get(priority)
         if hist is None:
             hist = self._obs.metrics.histogram(f"{self._kind}.queue_wait",
-                                               lane=req.priority)
-            self._wait_hists[req.priority] = hist
-        hist.observe(now - req.request_time)
+                                               lane=priority)
+            self._wait_hists[priority] = hist
+        return hist
+
+    def _observe_grant(self, req: Request) -> None:
+        now = self.env.now
+        self._wait_hist(req.priority).observe(now - req.request_time)
         self._depth_gauge.set(self.queue_length, now)
         self._in_use_gauge.set(self.in_use, now)
 
@@ -219,6 +240,9 @@ class Resource:
         self.in_use -= 1
         if self._obs is not None:
             self._in_use_gauge.set(self.in_use, self.env.now)
+        if self.lane is not None:
+            self.lane.released()
+            return
         while self._waiters and self.in_use < self.capacity:
             _key, _seq, nxt = heapq.heappop(self._waiters)
             if nxt.cancelled:
@@ -245,6 +269,8 @@ class Resource:
         self._n_cancelled += 1
         if self._obs is not None:
             self._depth_gauge.set(self.queue_length, self.env.now)
+        if self.lane is not None:
+            self.lane.cancelled(req)
 
 
 class PriorityResource(Resource):

@@ -69,12 +69,13 @@ def test_audit_flags_held_grant():
     assert checker.stats["resources_audited"] >= 1
 
 
-def test_audit_ignores_other_envs_and_exempted_envs():
+def test_audit_ignores_other_envs():
     checker, env, res = _observed_resource()
     req = res.request()
     checker.audit_env(Environment())  # different env: nothing to audit
-    checker.exempt_env(env)
-    checker.audit_env(env)  # leaked grant, but exempted
+    assert checker.stats["resources_audited"] == 0
+    with pytest.raises(InvariantViolation, match="leak"):
+        checker.audit_env(env)  # the leaked grant is in this env
     res.release(req)
 
 
@@ -196,14 +197,17 @@ def test_degraded_reads_under_invariants(checked_system):
     assert checker.stats["schedule_checks"] > 0
 
 
-def test_busy_degraded_reads_exempt_foreground_env(checked_system):
+def test_busy_degraded_reads_are_audited(checked_system):
     checker, system = checked_system
     objects = system.catalog.objects_on_disk(0)[:2]
+    before = checker.stats["resources_audited"]
     results = system.measure_degraded_reads(objects, failed_disk=0,
                                             busy=True, seed=5)
-    # Open-ended foreground generators hold grants at run end; the busy
-    # env must be exempted, so the audit passes instead of raising.
+    # Foreground load is data in each disk's lane, not grants: the busy
+    # env is audited like any other and leaks nothing.
     assert len(results) == len(objects) > 0
+    assert checker.stats["resources_audited"] > before
+    assert "0 leaked grants" in checker.report()
 
 
 def test_default_observer_arms_internal_systems():

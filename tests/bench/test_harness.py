@@ -38,6 +38,22 @@ def test_run_spec_times_and_repeats():
     assert result.per_unit_us == result.seconds / 4 * 1e6
 
 
+def test_run_spec_runs_until_min_seconds(monkeypatch):
+    from repro.bench import harness
+
+    clock = [0.0]
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
+
+    def work():  # each call takes exactly 10 ms of fake time
+        clock[0] += 0.01
+
+    spec = BenchSpec("x", "macro", work, repeats=2, min_seconds=0.05)
+    result = run_spec(spec)
+    # 2 repeats would time only 0.02 s; runs continue until 0.05 s.
+    assert len(result.all_seconds) == 5
+    assert sum(result.all_seconds) == pytest.approx(0.05)
+
+
 def test_run_spec_rejects_bad_repeats():
     spec = BenchSpec("x", "micro", lambda: None)
     with pytest.raises(ValueError):

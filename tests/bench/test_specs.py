@@ -45,6 +45,9 @@ def test_macro_specs_shapes():
     specs = macro.specs()
     assert [s.group for s in specs] == ["macro"] * len(specs)
     assert all(s.repeats == 2 for s in specs)
+    # Each macro times >= 0.5 s of work, whatever one run costs.
+    assert all(s.min_seconds >= 0.5 for s in specs)
+    assert "scenario.fig10_busy" in {s.name for s in specs}
 
 
 def test_micro_stripe_fixture_is_consistent():

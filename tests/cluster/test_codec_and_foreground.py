@@ -1,6 +1,5 @@
 """Tests for the codec throughput model and foreground load generator."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import DEFAULT_CODEC, CodecModel, Disk
@@ -40,14 +39,14 @@ def _make_disks(env, n=4):
 def test_foreground_load_validation():
     env = Environment()
     with pytest.raises(ValueError):
-        start_foreground_load(env, _make_disks(env), np.random.default_rng(0),
+        start_foreground_load(env, _make_disks(env), 0,
                               utilization=1.5)
 
 
 def test_foreground_load_hits_target_utilization():
     env = Environment()
     disks = _make_disks(env)
-    start_foreground_load(env, disks, np.random.default_rng(0),
+    start_foreground_load(env, disks, 0,
                           utilization=0.5, mean_read_bytes=8 * MB)
     env.run(until=120.0)
     utils = [d.queue.utilization() for d in disks]
@@ -57,7 +56,7 @@ def test_foreground_load_hits_target_utilization():
 def test_foreground_load_generates_reads_on_every_disk():
     env = Environment()
     disks = _make_disks(env)
-    start_foreground_load(env, disks, np.random.default_rng(1),
+    start_foreground_load(env, disks, 1,
                           utilization=0.4, mean_read_bytes=4 * MB)
     env.run(until=30.0)
     for disk in disks:
@@ -77,7 +76,7 @@ def test_foreground_reads_are_foreground_priority():
             yield env.process(disk.read(1, 50 * MB, BACKGROUND))
 
     env.process(bg())
-    start_foreground_load(env, [disk], np.random.default_rng(2),
+    start_foreground_load(env, [disk], 2,
                           utilization=0.3, mean_read_bytes=4 * MB)
     env.run(until=30.0)
     assert disk.bytes_read > 0
@@ -87,7 +86,7 @@ def test_higher_utilization_more_traffic():
     def traffic(util):
         env = Environment()
         disks = _make_disks(env, 2)
-        start_foreground_load(env, disks, np.random.default_rng(3),
+        start_foreground_load(env, disks, 3,
                               utilization=util, mean_read_bytes=8 * MB)
         env.run(until=60.0)
         return sum(d.bytes_read for d in disks)

@@ -143,3 +143,43 @@ def test_summary_renders_all_kinds():
 
 def test_summary_empty_registry():
     assert "no metrics" in MetricsRegistry().summary()
+
+
+def _fields(h):
+    return h.count, h.total, h.min, h.max, h._reservoir, h._state
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 4096])
+@pytest.mark.parametrize("batches", [[5], [3, 0, 40], [2, 9000, 1, 700]])
+def test_observe_many_equals_the_scalar_loop(capacity, batches):
+    import numpy as np
+
+    rng = np.random.default_rng(capacity + len(batches))
+    loop = Histogram("loop", reservoir_size=capacity)
+    bulk = Histogram("bulk", reservoir_size=capacity)
+    for n in batches:
+        values = rng.exponential(1e-3, n)
+        for value in values.tolist():
+            loop.observe(value)
+        bulk.observe_many(values)
+        assert _fields(bulk) == _fields(loop)
+    # Mixing the two keeps them in lockstep too.
+    loop.observe(0.5)
+    bulk.observe(0.5)
+    assert _fields(bulk) == _fields(loop)
+
+
+def test_gauge_add_area_folds_an_integral():
+    g = Gauge("g")
+    g.set(1.0, 2.0)
+    g.set(0.0, 3.0)       # level 1 over [2, 3]
+    g.add_area(4.0, 0.0, 10.0, low=0.0, high=2.0)
+    # window [0, 10]: 1 (own) + 4 (folded) over 10 s
+    assert g.mean() == pytest.approx(0.5)
+    assert (g.min, g.max) == (0.0, 2.0)
+
+
+def test_gauge_add_area_on_unsampled_gauge():
+    g = Gauge("g")
+    g.add_area(3.0, 1.0, 7.0)
+    assert g.mean() == pytest.approx(0.5)
