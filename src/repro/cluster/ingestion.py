@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
-from repro.cluster.foreground import start_foreground_load
 from repro.cluster.network import client_link
 from repro.cluster.rcstor import RCStor, _Runtime
 
@@ -75,12 +74,7 @@ def measure_puts(system: RCStor, sizes, busy: bool = False,
     """Simulate sequential puts: client upload pipelined into 3 replica
     writes on distinct nodes; ack when the last replica is durable."""
     rt = _Runtime(system.config, seed, system.obs,
-                  label=f"{system.name}/puts")
-    if busy:
-        start_foreground_load(
-            rt.env, rt.disks, rt.seed,
-            utilization=system.config.foreground_utilization,
-            mean_read_bytes=system.config.foreground_read_bytes)
+                  label=f"{system.name}/puts", busy=busy)
     latencies: list[float] = []
     sizes = [int(s) for s in sizes]
 

@@ -16,6 +16,7 @@ dictated by the byte-exact repair plans of :mod:`repro.codes`.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +109,12 @@ class _Runtime:
     itself as a trace *process* (its sim clock restarts at zero), wires the
     engine hooks, instruments every disk and NIC queue, and offers
     :meth:`span` for recording sim-time intervals on named tracks.
+    ``busy`` starts the foreground load on every disk.
     """
 
     def __init__(self, config: ClusterConfig, seed: int,
                  obs: Observer | None = None, label: str = "run",
-                 faults: FaultPlan | None = None):
+                 faults: FaultPlan | None = None, busy: bool = False):
         self.obs = obs
         self.label = label
         self.invariants = getattr(obs, "invariants", None) \
@@ -131,20 +133,40 @@ class _Runtime:
                       for i in range(config.n_disks)]
         self.fabric = Fabric(self.env, config, obs=obs, run=run)
         self.nics = self.fabric.nics
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
-        # An *empty* plan is equivalent to no plan: no injector is built
-        # and every fault branch stays cold, so the simulated numbers are
-        # bit-identical to an unfaulted run.
+        # The fault hooks the repair pipeline reads.  Without a plan (or
+        # with an empty one) no injector is built — its constructor
+        # registers a ``faults.injected`` counter, which would add a field
+        # to the plain metric snapshot — so no disk ever fails, helper
+        # reads carry no timeout, and every ladder rung stays cold.
         self.faults: FaultInjector | None = None
+        self.failed_disks: set[int] = set()
+        self.helper_timeout: float | None = None
         if faults:
             self.faults = FaultInjector(self.env, self.disks, self.nics,
                                         faults, obs=obs,
                                         links=self.fabric.links)
+            self.failed_disks = self.faults.failed_disks
+            self.helper_timeout = self.faults.helper_timeout
             if obs is not None:
                 self.faults.span_cb = (
                     lambda name, start, end, **args:
                     self.span(name, "faults", start, end, **args))
+        if busy:
+            start_foreground_load(
+                self.env, self.disks, seed,
+                utilization=config.foreground_utilization,
+                mean_read_bytes=config.foreground_read_bytes)
+
+    def on_disk_failure(self, callback) -> None:
+        """Subscribe to disk crashes (never called without an injector)."""
+        if self.faults is not None:
+            self.faults.on_disk_failure(callback)
+
+    def notify_progress(self, fraction: float) -> None:
+        """Report completed recovery weight to progress-triggered faults."""
+        if self.faults is not None and self.faults.has_progress_events:
+            self.faults.notify_progress(fraction)
 
     def client(self, gbps: float) -> Link:
         """A fresh client edge link.
@@ -263,16 +285,39 @@ class RCStor:
         if rt.obs is not None:
             rt.obs.metrics.counter(name).inc()
 
+    def _escalated(self, rt: _Runtime, meta: dict | None) -> None:
+        """Count one recovery task escalated to full decode (degraded
+        reads, which carry no ``meta``, are not counted)."""
+        if meta is not None:
+            meta["tasks_escalated"] += 1
+            self._fault_counter(rt, "repair.tasks_escalated")
+
+    @staticmethod
+    def _failed_roles(pg: PlacementGroup, failed_disks: set[int],
+                      repairing: int) -> set[int]:
+        """Roles of ``pg`` on failed disks, other than the one repairing."""
+        roles = {pg.role_of(d) for d in failed_disks if d in pg}
+        roles.discard(repairing)
+        return roles
+
     def _live_roles(self, profile: RepairProfile,
-                    failed_roles: set[int]) -> list[int]:
+                    failed_roles: Collection[int]) -> list[int]:
         """Survivor roles: neither being repaired nor crashed."""
         return [r for r in range(self.config.n)
                 if r != profile.failed_role and r not in failed_roles]
 
-    def _repick_profile(self, profile: RepairProfile, failed_roles: set[int],
-                        rotation: int) -> RepairProfile:
+    def _repick_profile(self, profile: RepairProfile, rotation: int,
+                        failed_roles: Collection[int] = ()) -> RepairProfile:
         """Re-target a profile's helper reads onto live survivor roles,
-        rotated so hedged retries don't re-hit the same straggler."""
+        starting ``rotation`` roles in.
+
+        MDS codes decode from *any* k chunks, so rotating the helper set
+        is sound.  Recovery uses it to spread RS-style repairs across all
+        survivors (the paper sends n requests and rebuilds from the first
+        k responses, §6.1) instead of hammering the first k; the fault
+        ladder uses it so retries avoid dead disks and don't re-hit the
+        same straggler.
+        """
         survivors = self._live_roles(profile, failed_roles)
         start = rotation % len(survivors)
         chosen = [survivors[(start + i) % len(survivors)]
@@ -317,41 +362,127 @@ class RCStor:
         """
         survivors = self._live_roles(profile, failed_roles)
         if len(survivors) >= len(profile.helpers):
-            return self._repick_profile(profile, failed_roles, rotation), is_rs
+            return self._repick_profile(profile, rotation, failed_roles), is_rs
         return self._decode_fallback(profile, failed_roles, rotation,
                                      inv), True
 
-    def _issue_helper_reads(self, rt: _Runtime, pg: PlacementGroup,
-                            profile: RepairProfile, priority: int,
-                            use_timeout: bool = True):
-        """Sub-generator: issue one profile's helper reads, fault-aware.
+    def _helper_reads(self, rt: _Runtime, pg: PlacementGroup,
+                      profile: RepairProfile, is_rs: bool, priority: int,
+                      failed_disks: set[int], attempts: int = 0,
+                      meta: dict | None = None):
+        """Sub-generator: the fault ladder — drive one repair's helper
+        reads until a full read set lands.
 
-        Returns ``"ok"`` | ``"timeout"`` | ``"failed"`` | ``"corrupt"``.
-        On a hedge timeout the unfinished read processes are interrupted,
-        which cancels their still-queued disk requests rather than leaking
-        the grants (the reads hold their requests as context managers).
+        Every recovery task and every unhedged degraded read takes this
+        path.  Without an injector no disk fails and no timeout is armed,
+        so it is one all-of over the profile's reads.  Otherwise
+        dead helpers re-pick (or escalate to RS decode below the
+        regenerating threshold); hedge timeouts interrupt the unfinished
+        reads — cancelling their queued disk requests rather than leaking
+        the grants — rotate the helper set and, for regenerating profiles
+        that keep timing out, force the decode fallback so one straggler
+        cannot stall a d-of-d read; failed and corrupt reads simply retry.
+        After :data:`MAX_HEDGED_ATTEMPTS` the hedge timeout is disarmed and
+        the read waits its helpers out.
+
+        ``meta`` is a recovery task's bookkeeping: with it, escalations
+        and hedged retries are counted there and the ladder gives up after
+        :data:`MAX_REPAIR_ATTEMPTS`.  Returns ``(profile, is_rs,
+        attempts)`` — the (possibly rewritten) profile that was satisfied,
+        whether it decodes RS-style, and the failed tries so far; profile
+        is ``None`` when the PG lost more than r chunks or the attempts
+        ran out.
         """
         env = rt.env
-        procs = [env.process(rt.disks[pg.disk_ids[h.role]].read(
-            h.n_ios, h.nbytes, priority, span=h.span))
-            for h in profile.helpers]
-        all_done = env.all_of(procs)
-        timeout = rt.faults.helper_timeout if use_timeout else None
-        if timeout is not None:
-            yield env.any_of([all_done, env.timeout(timeout)])
-            if not all_done.triggered:
+        rotation = attempts + 1
+        while True:
+            failed_roles = self._failed_roles(pg, failed_disks,
+                                              profile.failed_role)
+            if any(h.role in failed_roles for h in profile.helpers):
+                was_rs = is_rs
+                profile, is_rs = self._fallback_profile(
+                    profile, is_rs, failed_roles, rotation, rt.invariants)
+                rotation += 1
+                if profile is None:
+                    return None, is_rs, attempts
+                if is_rs and not was_rs:
+                    self._escalated(rt, meta)
+            procs = [env.process(rt.disks[pg.disk_ids[h.role]].read(
+                h.n_ios, h.nbytes, priority, span=h.span))
+                for h in profile.helpers]
+            all_done = env.all_of(procs)
+            timeout = (rt.helper_timeout if attempts < MAX_HEDGED_ATTEMPTS
+                       else None)
+            if timeout is None:
+                statuses = yield all_done
+            else:
+                yield env.any_of([all_done, env.timeout(timeout)])
+                statuses = ([proc.value for proc in procs]
+                            if all_done.triggered else None)
+            if statuses is None:
+                status = "timeout"
                 for proc in procs:
                     if not proc.triggered:
                         proc.interrupt("helper-timeout")
-                return "timeout"
-            statuses = [proc.value for proc in procs]
-        else:
-            statuses = yield all_done
-        if IO_FAILED in statuses:
-            return "failed"
-        if IO_CORRUPT in statuses:
-            return "corrupt"
-        return "ok"
+            elif IO_FAILED in statuses:
+                status = "failed"
+            elif IO_CORRUPT in statuses:
+                status = "corrupt"
+            else:
+                return profile, is_rs, attempts
+            attempts += 1
+            if meta is not None and attempts >= MAX_REPAIR_ATTEMPTS:
+                return None, is_rs, attempts
+            if status == "timeout":
+                if meta is not None:
+                    meta["hedged_retries"] += 1
+                self._fault_counter(rt, "repair.hedged_retries")
+                rotation += 1
+                # Disks may have crashed while the helper reads were in
+                # flight; the snapshot from the top of the loop is stale.
+                failed_roles = self._failed_roles(pg, failed_disks,
+                                                  profile.failed_role)
+                if is_rs or self._scalar_rebuild:
+                    profile = self._repick_profile(profile, rotation,
+                                                   failed_roles)
+                elif attempts >= 2:
+                    decode = self._decode_fallback(profile, failed_roles,
+                                                   rotation, rt.invariants)
+                    if decode is not None:
+                        profile, is_rs = decode, True
+                        self._escalated(rt, meta)
+            else:
+                self._fault_counter(rt, f"repair.{status}_reads")
+
+    def _degraded_helper_reads(self, rt: _Runtime, pg: PlacementGroup,
+                               profile: RepairProfile, is_rs: bool,
+                               priority: int, hedge_s: float | None,
+                               result: DegradedReadResult):
+        """Sub-generator: a degraded read's helper reads — the hedging
+        race when ``hedge_s`` is set, else the fault ladder.  Returns
+        ``(profile, is_rs)`` of the read set that satisfied the repair."""
+        if hedge_s is None:
+            return (yield from self._degraded_ladder(rt, pg, profile, is_rs,
+                                                     priority))
+        profile, is_rs, fired, won = yield from self._hedged_helper_reads(
+            rt, pg, profile, is_rs, priority, hedge_s)
+        result.hedges_fired += fired
+        result.hedge_wins += won
+        return profile, is_rs
+
+    def _degraded_ladder(self, rt: _Runtime, pg: PlacementGroup,
+                         profile: RepairProfile, is_rs: bool, priority: int):
+        """Sub-generator: the fault ladder under a degraded read's policy
+        — losing more than r chunks of one PG is fatal."""
+        profile, is_rs, _ = yield from self._helper_reads(
+            rt, pg, profile, is_rs, priority, rt.failed_disks)
+        if profile is None:
+            raise self._unrecoverable()
+        return profile, is_rs
+
+    def _unrecoverable(self) -> SimulationError:
+        return SimulationError("degraded read unrecoverable: more than "
+                               f"r={self.config.r} failures in one PG")
 
     # ------------------------------------------------------------------
     # Hedged degraded reads (repro.cluster.qos)
@@ -434,60 +565,6 @@ class RCStor:
             return profile, is_rs, 1, 0
         return fallback, True, 1, 1
 
-    def _repair_reads_faulted(self, rt: _Runtime, pg: PlacementGroup,
-                              profile: RepairProfile, is_rs: bool,
-                              priority: int):
-        """Sub-generator: drive one repair's helper reads down the fault
-        ladder until a full read set lands.
-
-        Dead helpers re-pick (or escalate to RS decode below the
-        regenerating threshold); hedge timeouts rotate the helper set and,
-        for regenerating profiles that keep timing out, force the decode
-        fallback so one straggler cannot stall a d-of-d read; corrupt
-        reads simply retry.  After :data:`MAX_HEDGED_ATTEMPTS` the hedge
-        timeout is disarmed and the read waits its helpers out.  Returns
-        the (possibly rewritten) profile that was satisfied plus whether
-        it decodes RS-style; raises when the PG became unrecoverable.
-        """
-        attempts = 0
-        rotation = 1
-        while True:
-            failed_roles = {pg.role_of(d) for d in rt.faults.failed_disks
-                            if d in pg}
-            failed_roles.discard(profile.failed_role)
-            if any(h.role in failed_roles for h in profile.helpers):
-                profile, is_rs = self._fallback_profile(
-                    profile, is_rs, failed_roles, rotation, rt.invariants)
-                rotation += 1
-                if profile is None:
-                    raise SimulationError(
-                        "degraded read unrecoverable: more than "
-                        f"r={self.config.r} failures in one PG")
-            status = yield from self._issue_helper_reads(
-                rt, pg, profile, priority,
-                use_timeout=attempts < MAX_HEDGED_ATTEMPTS)
-            if status == "ok":
-                return profile, is_rs
-            attempts += 1
-            if status == "timeout":
-                self._fault_counter(rt, "repair.hedged_retries")
-                rotation += 1
-                # Disks may have crashed while the helper reads were in
-                # flight; the snapshot from the top of the loop is stale.
-                failed_roles = {pg.role_of(d) for d in rt.faults.failed_disks
-                                if d in pg}
-                failed_roles.discard(profile.failed_role)
-                if is_rs or self._scalar_rebuild:
-                    profile = self._repick_profile(profile, failed_roles,
-                                                   rotation)
-                elif attempts >= 2:
-                    decode = self._decode_fallback(profile, failed_roles,
-                                                   rotation, rt.invariants)
-                    if decode is not None:
-                        profile, is_rs = decode, True
-            else:
-                self._fault_counter(rt, f"repair.{status}_reads")
-
     # ------------------------------------------------------------------
     # Normal reads
     # ------------------------------------------------------------------
@@ -536,12 +613,7 @@ class RCStor:
                              seed: int = 0, warmup: float = 2.0) -> list[float]:
         """Simulate normal reads; returns per-read seconds."""
         rt = _Runtime(self.config, seed, self.obs,
-                      label=f"{self.name}/normal-reads")
-        if busy:
-            start_foreground_load(
-                rt.env, rt.disks, rt.seed,
-                utilization=self.config.foreground_utilization,
-                mean_read_bytes=self.config.foreground_read_bytes)
+                      label=f"{self.name}/normal-reads", busy=busy)
         times: list[float] = []
 
         def driver():
@@ -649,20 +721,8 @@ class RCStor:
                 profile = self._profile(cache, failed_role, size,
                                         rt.invariants)
                 t_read = env.now
-                if rt.faults is not None:
-                    profile, is_rs = yield from self._repair_reads_faulted(
-                        rt, pg, profile, is_rs, priority)
-                elif hedge_s is not None:
-                    profile, is_rs, fired, won = yield from \
-                        self._hedged_helper_reads(rt, pg, profile, is_rs,
-                                                  priority, hedge_s)
-                    result.hedges_fired += fired
-                    result.hedge_wins += won
-                else:
-                    reads = [env.process(rt.disks[pg.disk_ids[h.role]].read(
-                        h.n_ios, h.nbytes, priority, span=h.span))
-                        for h in profile.helpers]
-                    yield env.all_of(reads)
+                profile, is_rs = yield from self._degraded_helper_reads(
+                    rt, pg, profile, is_rs, priority, hedge_s, result)
                 if rt.obs is not None:
                     rt.span("helper_reads", "repair", t_read, env.now,
                             chunk=i, nbytes=profile.total_read_bytes)
@@ -764,12 +824,28 @@ class RCStor:
                         local = self.config.k + self.code.group_of(failed_role)
                         extra.append(env.process(rt.disks[pg.disk_ids[local]].read(
                             1, missing_bytes, priority)))
-                    if rt.faults is None and hedge_s is not None:
+                    primary = list(available_done.values()) + extra
+                    if hedge_s is None:
+                        statuses = yield env.all_of(primary)
+                        if any(s != IO_OK for s in statuses):
+                            # A strip read hit a crashed disk or
+                            # corruption: fall to MDS row decode from any
+                            # k live strips.
+                            decode = self._decode_fallback(
+                                RepairProfile(failed_role, missing_bytes, (),
+                                              missing_bytes),
+                                self._failed_roles(pg, rt.failed_disks,
+                                                   failed_role),
+                                1, rt.invariants)
+                            if decode is None:
+                                raise self._unrecoverable()
+                            yield from self._degraded_ladder(
+                                rt, pg, decode, True, priority)
+                    else:
                         # Hedge the strip fetch: fan out legs on the spare
                         # parity roles and take the first len(primary)
                         # responses — any-k MDS row decode accepts any
                         # equally-sized set of live strips.
-                        primary = list(available_done.values()) + extra
                         all_done = env.all_of(primary)
                         yield env.any_of([all_done, env.timeout(hedge_s)])
                         if not all_done.triggered:
@@ -788,27 +864,6 @@ class RCStor:
                                 result.hedge_wins += won
                             else:
                                 yield all_done
-                        statuses = [IO_OK]
-                    else:
-                        statuses = yield env.all_of(
-                            list(available_done.values()) + extra)
-                    if rt.faults is not None \
-                            and any(s != IO_OK for s in statuses):
-                        # A strip read hit a crashed disk or corruption:
-                        # fall to MDS row decode from any k live strips.
-                        dead = {pg.role_of(d)
-                                for d in rt.faults.failed_disks if d in pg}
-                        dead.discard(failed_role)
-                        decode = self._decode_fallback(
-                            RepairProfile(failed_role, missing_bytes, (),
-                                          missing_bytes),
-                            dead, 1, rt.invariants)
-                        if decode is None:
-                            raise SimulationError(
-                                "degraded read unrecoverable: more than "
-                                f"r={self.config.r} failures in one PG")
-                        yield from self._repair_reads_faulted(
-                            rt, pg, decode, True, priority)
                     if rt.obs is not None:
                         rt.span("helper_reads", "repair", t_read, env.now,
                                 nbytes=missing_bytes)
@@ -841,51 +896,24 @@ class RCStor:
                             acc[0] += h.n_ios
                             acc[1] += h.nbytes
                             acc[2] += h.span
-                    gather_sources = None
-                    if rt.faults is None and hedge_s is not None:
-                        # Regenerating sub-chunk reads touch all d = n-1
-                        # survivors, so the hedge races a full RS-style
-                        # decode read set against the batch.
-                        batch_profile = RepairProfile(
-                            failed_role, missing_bytes,
-                            tuple(HelperRead(role, ios, nbytes, span)
-                                  for role, (ios, nbytes, span)
-                                  in batch.items()),
-                            missing_bytes)
-                        winner, decode_rs, fired, won = yield from \
-                            self._hedged_helper_reads(
-                                rt, pg, batch_profile, False, priority,
-                                hedge_s)
-                        result.hedges_fired += fired
-                        result.hedge_wins += won
-                        gathered_bytes = winner.total_read_bytes
-                        gather_sources = self._helper_sources(rt, pg, winner)
-                    elif rt.faults is None:
-                        reads = [env.process(rt.disks[pg.disk_ids[role]].read(
-                            ios, nbytes, priority, span=span))
-                            for role, (ios, nbytes, span) in batch.items()]
-                        yield env.all_of(reads)
-                        gathered_bytes = sum(b for _, b, _s in batch.values())
-                        if rt.fabric.tiered:
-                            node_of = self.config.node_of
-                            gather_sources = [
-                                (node_of(pg.disk_ids[role]), nbytes)
-                                for role, (_i, nbytes, _s) in batch.items()]
-                    else:
-                        # Aggregate the batch into one synthetic profile so
-                        # the fault ladder can re-pick / escalate it whole.
-                        batch_profile = RepairProfile(
-                            failed_role, missing_bytes,
-                            tuple(HelperRead(role, ios, nbytes, span)
-                                  for role, (ios, nbytes, span)
-                                  in batch.items()),
-                            missing_bytes)
-                        batch_profile, _ = yield from \
-                            self._repair_reads_faulted(
-                                rt, pg, batch_profile, False, priority)
-                        gathered_bytes = batch_profile.total_read_bytes
-                        gather_sources = self._helper_sources(
-                            rt, pg, batch_profile)
+                    # One synthetic profile for the whole batch, so the
+                    # hedge or the fault ladder can race / re-pick /
+                    # escalate it whole.
+                    batch_profile = RepairProfile(
+                        failed_role, missing_bytes,
+                        tuple(HelperRead(role, ios, nbytes, span)
+                              for role, (ios, nbytes, span) in batch.items()),
+                        missing_bytes)
+                    winner, winner_rs = yield from \
+                        self._degraded_helper_reads(
+                            rt, pg, batch_profile, False, priority, hedge_s,
+                            result)
+                    # Only a hedge win switches the codec to RS decode; a
+                    # ladder escalation keeps the regenerating codec time
+                    # (the pinned chaos-tail Stripe rows depend on it).
+                    decode_rs = winner_rs and hedge_s is not None
+                    gathered_bytes = winner.total_read_bytes
+                    gather_sources = self._helper_sources(rt, pg, winner)
                     if rt.obs is not None:
                         rt.span("helper_reads", "repair", t_read, env.now,
                                 nbytes=gathered_bytes)
@@ -935,6 +963,31 @@ class RCStor:
             return self.catalog.objects_striped_over(failed_disk)
         return self.catalog.objects_on_disk(failed_disk)
 
+    def _degraded_read(self, rt: _Runtime, idx: int, obj: StoredObject,
+                       failed_disk: int | None, client: Link,
+                       result: DegradedReadResult,
+                       byte_range: tuple[int, int] | None = None):
+        """The degraded-read generator for the ``idx``-th read of a read
+        loop, dispatched on the layout (see :meth:`measure_degraded_reads`
+        for the ``failed_disk=None`` sampling mode)."""
+        if not self.layout.spans_disks:
+            return self._degraded_single_disk_proc(rt, obj, client, result,
+                                                   byte_range)
+        if failed_disk is not None:
+            failed_role = self.cluster.pgs[obj.pg_id].role_of(failed_disk)
+        elif byte_range is not None:
+            # A ranged read is only degraded if it touches the failed
+            # strip: fail the first strip the range overlaps.
+            probe = self.catalog.placement_of(obj, 0)
+            overlaps = self._overlaps(probe.chunks, byte_range)
+            failed_role = next((c.disk_index for c, n in
+                                zip(probe.chunks, overlaps) if n > 0),
+                               idx % self.config.k)
+        else:
+            failed_role = idx % self.config.k
+        return self._degraded_striped_proc(rt, obj, failed_role, client,
+                                           result, byte_range)
+
     def measure_degraded_reads(self, objects: list[StoredObject],
                                failed_disk: int | None,
                                busy: bool = False, seed: int = 0,
@@ -960,12 +1013,8 @@ class RCStor:
         if ranges is not None and len(ranges) != len(objects):
             raise ValueError("need one byte range per object")
         rt = _Runtime(self.config, seed, self.obs,
-                      label=f"{self.name}/degraded-reads", faults=faults)
-        if busy:
-            start_foreground_load(
-                rt.env, rt.disks, rt.seed,
-                utilization=self.config.foreground_utilization,
-                mean_read_bytes=self.config.foreground_read_bytes)
+                      label=f"{self.name}/degraded-reads", faults=faults,
+                      busy=busy)
         results: list[DegradedReadResult] = []
         # Timeline telemetry: handles hoisted out of the driver generator
         # (OBS601) and gated on an armed timeline so plain snapshots are
@@ -984,28 +1033,8 @@ class RCStor:
                 client = rt.client(self.config.client_gbps)
                 result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
                 t0 = rt.env.now
-                if self.layout.spans_disks:
-                    if failed_disk is None:
-                        if byte_range is not None:
-                            # A ranged read is only degraded if it touches
-                            # the failed strip: fail the first strip the
-                            # range overlaps.
-                            probe = self.catalog.placement_of(obj, 0)
-                            overlaps = self._overlaps(probe.chunks, byte_range)
-                            failed_role = next(
-                                (c.disk_index for c, n in
-                                 zip(probe.chunks, overlaps) if n > 0),
-                                idx % self.config.k)
-                        else:
-                            failed_role = idx % self.config.k
-                    else:
-                        failed_role = self.cluster.pgs[obj.pg_id].role_of(
-                            failed_disk)
-                    yield rt.env.process(self._degraded_striped_proc(
-                        rt, obj, failed_role, client, result, byte_range))
-                else:
-                    yield rt.env.process(self._degraded_single_disk_proc(
-                        rt, obj, client, result, byte_range))
+                yield rt.env.process(self._degraded_read(
+                    rt, idx, obj, failed_disk, client, result, byte_range))
                 result.total_time = rt.env.now - t0
                 results.append(result)
                 if h_latency is not None:
@@ -1054,7 +1083,7 @@ class RCStor:
                                   for h in profile.helpers),
                             profile.output_bytes)
                     if scalar and isinstance(self.code, RSCode):
-                        profile = self._rotated_helpers(profile, rotation)
+                        profile = self._repick_profile(profile, rotation)
                         rotation += 1
                     if inv is not None:
                         inv.check_repair_profile(self.code, profile)
@@ -1065,7 +1094,7 @@ class RCStor:
             while remaining > 0:
                 piece = min(batch_target, remaining)
                 remaining -= piece
-                profile = self._rotated_helpers(
+                profile = self._repick_profile(
                     self.rs_profiles.get(role, piece), rotation)
                 rotation += 1
                 if inv is not None:
@@ -1073,25 +1102,6 @@ class RCStor:
                 weight = max(1, round(piece / unit))
                 tasks.append(_RecoveryTask(pg, profile, weight, is_rs=True))
         return tasks
-
-    def _rotated_helpers(self, profile: RepairProfile, rotation: int
-                         ) -> RepairProfile:
-        """Spread RS-style any-k-of-n repairs across all survivors.
-
-        The paper sends n requests and rebuilds from the first k responses
-        (§6.1); across many recovery tasks that balances load over every
-        surviving disk instead of hammering the first k.  MDS codes can
-        decode from *any* k chunks, so rotating the helper set is sound.
-        """
-        survivors = [r for r in range(self.config.n)
-                     if r != profile.failed_role]
-        need = len(profile.helpers)
-        start = rotation % len(survivors)
-        chosen = [survivors[(start + i) % len(survivors)] for i in range(need)]
-        helpers = tuple(HelperRead(new_role, h.n_ios, h.nbytes, h.span)
-                        for new_role, h in zip(chosen, profile.helpers))
-        return RepairProfile(profile.failed_role, profile.chunk_size,
-                             helpers, profile.output_bytes)
 
     def _finish_recovery(self, rt: _Runtime, meta: dict,
                          makespan: float) -> RecoveryReport:
@@ -1133,14 +1143,12 @@ class RCStor:
         failed = list(range(first, first + self.config.disks_per_node))
         rt = _Runtime(self.config, seed, self.obs,
                       label=f"{self.name}/node-recovery", faults=faults)
-        env = rt.env
         tasks: list[_RecoveryTask] = []
         for disk in failed:
             tasks.extend(self._build_recovery_tasks(disk, rt.invariants))
         done, meta = self._run_task_set(rt, deque(tasks), set(failed))
-        start = env.now
-        env.run(done)
-        return self._finish_recovery(rt, meta, env.now - start)
+        rt.env.run(done)
+        return self._finish_recovery(rt, meta, rt.env.now)
 
     def _build_multi_failure_tasks(self, failed_disks: list[int],
                                    inv=None) -> list[_RecoveryTask]:
@@ -1219,7 +1227,6 @@ class RCStor:
         rt = _Runtime(self.config, seed, self.obs,
                       label=f"{self.name}/multi-failure-recovery",
                       faults=faults)
-        env = rt.env
         tasks: list[_RecoveryTask] = []
         # Single-failure PGs: optimal plans, skipping multi-failure PGs.
         for disk in failed_disks:
@@ -1229,26 +1236,17 @@ class RCStor:
                     tasks.append(task)
         tasks += self._build_multi_failure_tasks(sorted(failed), rt.invariants)
         # Helpers must not read from any failed disk.
-        alive_tasks: list[_RecoveryTask] = []
-        for task in tasks:
-            failed_roles = {task.pg.role_of(d) for d in failed if d in task.pg}
+        for i, task in enumerate(tasks):
+            failed_roles = self._failed_roles(task.pg, failed,
+                                              task.profile.failed_role)
             if any(h.role in failed_roles for h in task.profile.helpers):
-                survivors = [r for r in range(self.config.n)
-                             if r not in failed_roles]
-                need = len(task.profile.helpers)
-                rotated = tuple(
-                    HelperRead(survivors[i % len(survivors)], h.n_ios,
-                               h.nbytes, h.span)
-                    for i, h in enumerate(task.profile.helpers))
-                task = _RecoveryTask(task.pg, RepairProfile(
-                    task.profile.failed_role, task.profile.chunk_size,
-                    rotated, task.profile.output_bytes), task.weight,
-                    task.is_rs)
-            alive_tasks.append(task)
-        done, meta = self._run_task_set(rt, deque(alive_tasks), failed)
-        start = env.now
-        env.run(done)
-        return self._finish_recovery(rt, meta, env.now - start)
+                tasks[i] = _RecoveryTask(
+                    task.pg, self._repick_profile(task.profile, 0,
+                                                  failed_roles),
+                    task.weight, task.is_rs)
+        done, meta = self._run_task_set(rt, deque(tasks), failed)
+        rt.env.run(done)
+        return self._finish_recovery(rt, meta, rt.env.now)
 
     def _start_recovery(self, rt: _Runtime, failed_disk: int,
                         priority: int = BACKGROUND, weight_limit: int | None = None):
@@ -1261,10 +1259,11 @@ class RCStor:
         return self._run_task_set(rt, tasks, {failed_disk}, priority,
                                   weight_limit)
 
-    def _run_task_faulted(self, rt: _Runtime, task: _RecoveryTask,
-                          server_node: int, priority: int,
-                          failed_disks: set[int], pick_replacement, meta):
-        """Process: one recovery task under fault injection.
+    def _recover_task(self, rt: _Runtime, task: _RecoveryTask,
+                      server_node: int, priority: int,
+                      failed_disks: set[int], pick_replacement, meta):
+        """Process: one §5.1 recovery task — helper reads down the fault
+        ladder, gather at the server, decode, write to a replacement.
 
         Returns ``("done", None)``, ``("requeue", task)`` — the
         replacement write hit a freshly crashed disk, so the task goes
@@ -1275,52 +1274,11 @@ class RCStor:
         env = rt.env
         track = f"server-{server_node}"
         t_task = env.now
-        profile, is_rs = task.profile, task.is_rs
-        attempts = task.attempts
-        rotation = attempts + 1
-        while True:
-            failed_roles = {task.pg.role_of(d) for d in failed_disks
-                            if d in task.pg}
-            failed_roles.discard(profile.failed_role)
-            if any(h.role in failed_roles for h in profile.helpers):
-                was_rs = is_rs
-                profile, is_rs = self._fallback_profile(
-                    profile, is_rs, failed_roles, rotation, rt.invariants)
-                rotation += 1
-                if profile is None:
-                    return ("abandon", None)
-                if is_rs and not was_rs:
-                    meta["tasks_escalated"] += 1
-                    self._fault_counter(rt, "repair.tasks_escalated")
-            status = yield from self._issue_helper_reads(
-                rt, task.pg, profile, priority,
-                use_timeout=attempts < MAX_HEDGED_ATTEMPTS)
-            if status == "ok":
-                break
-            attempts += 1
-            if attempts >= MAX_REPAIR_ATTEMPTS:
-                return ("abandon", None)
-            if status == "timeout":
-                meta["hedged_retries"] += 1
-                self._fault_counter(rt, "repair.hedged_retries")
-                rotation += 1
-                # Crash callbacks may have grown ``failed_disks`` while the
-                # helper reads were in flight; re-derive the role set.
-                failed_roles = {task.pg.role_of(d) for d in failed_disks
-                                if d in task.pg}
-                failed_roles.discard(profile.failed_role)
-                if is_rs or self._scalar_rebuild:
-                    profile = self._repick_profile(profile, failed_roles,
-                                                   rotation)
-                elif attempts >= 2:
-                    decode = self._decode_fallback(profile, failed_roles,
-                                                   rotation, rt.invariants)
-                    if decode is not None:
-                        profile, is_rs = decode, True
-                        meta["tasks_escalated"] += 1
-                        self._fault_counter(rt, "repair.tasks_escalated")
-            else:
-                self._fault_counter(rt, f"repair.{status}_reads")
+        profile, is_rs, attempts = yield from self._helper_reads(
+            rt, task.pg, task.profile, task.is_rs, priority, failed_disks,
+            task.attempts, meta)
+        if profile is None:
+            return ("abandon", None)
         if rt.obs is not None:
             rt.span("helper_reads", track, t_task, env.now,
                     nbytes=profile.total_read_bytes)
@@ -1359,14 +1317,15 @@ class RCStor:
     def _run_task_set(self, rt: _Runtime, tasks: deque,
                       failed_disks: set[int], priority: int = BACKGROUND,
                       weight_limit: int | None = None):
-        """Drive a queue of recovery tasks through the HTTP servers.
+        """Drive a queue of recovery tasks through the HTTP servers — the
+        paper's §5.1 engine.
 
-        Without fault injection this is the paper's §5.1 engine verbatim.
-        With a :class:`~repro.faults.FaultInjector` on the runtime, each
-        task runs the failure-aware path (:meth:`_run_task_faulted`), a
-        disk crash mid-run escalates affected queued tasks in place (the
-        multi-failure path's full decode), and completed weight drives the
-        injector's progress-triggered events.
+        Each task runs :meth:`_recover_task`, whose helper reads take the
+        fault ladder.  The fault hooks only act when the runtime carries
+        a :class:`~repro.faults.FaultInjector`: a disk crash mid-run
+        escalates affected queued tasks in place (the multi-failure path's
+        full decode), and completed weight drives the injector's
+        progress-triggered events.
         """
         env = rt.env
         meta = {"n_tasks": len(tasks),
@@ -1401,88 +1360,38 @@ class RCStor:
         total_weight = sum(t.weight for t in tasks) or 1
         done_weight = [0]
 
-        if rt.faults is not None:
-            failed_disks |= rt.faults.failed_disks
+        failed_disks |= rt.failed_disks
 
-            def on_crash(disk_id: int) -> None:
-                # Second failure mid-recovery: escalate affected queued
-                # tasks to the multi-failure path (full MDS decode /
-                # re-picked helpers); running tasks handle it inline.
-                failed_disks.add(disk_id)
-                for i in range(len(tasks)):
-                    t = tasks[i]
-                    if disk_id not in t.pg:
-                        continue
-                    failed_roles = {t.pg.role_of(d) for d in failed_disks
-                                    if d in t.pg}
-                    failed_roles.discard(t.profile.failed_role)
-                    if not any(h.role in failed_roles
-                               for h in t.profile.helpers):
-                        continue
-                    new_profile, new_rs = self._fallback_profile(
-                        t.profile, t.is_rs, failed_roles, i + 1,
-                        rt.invariants)
-                    if new_profile is None:
-                        continue  # the runner will abandon it
-                    tasks[i] = _RecoveryTask(t.pg, new_profile, t.weight,
-                                             new_rs, t.attempts)
-                    if new_rs and not t.is_rs:
-                        meta["tasks_escalated"] += 1
-                        self._fault_counter(rt, "repair.tasks_escalated")
+        def on_crash(disk_id: int) -> None:
+            # Second failure mid-recovery: escalate affected queued tasks
+            # to the multi-failure path (full MDS decode / re-picked
+            # helpers); running tasks handle it inline.
+            failed_disks.add(disk_id)
+            for i in range(len(tasks)):
+                t = tasks[i]
+                if disk_id not in t.pg:
+                    continue
+                failed_roles = self._failed_roles(t.pg, failed_disks,
+                                                  t.profile.failed_role)
+                if not any(h.role in failed_roles for h in t.profile.helpers):
+                    continue
+                new_profile, new_rs = self._fallback_profile(
+                    t.profile, t.is_rs, failed_roles, i + 1, rt.invariants)
+                if new_profile is None:
+                    continue  # the runner will abandon it
+                tasks[i] = _RecoveryTask(t.pg, new_profile, t.weight,
+                                         new_rs, t.attempts)
+                if new_rs and not t.is_rs:
+                    self._escalated(rt, meta)
 
-            rt.faults.on_disk_failure(on_crash)
-
-        def run_task(task: _RecoveryTask, server_node: int):
-            track = f"server-{server_node}"
-            t_task = env.now
-            reads = [env.process(rt.disks[task.pg.disk_ids[h.role]].read(
-                h.n_ios, h.nbytes, priority, span=h.span))
-                for h in task.profile.helpers]
-            yield env.all_of(reads)
-            if rt.obs is not None:
-                rt.span("helper_reads", track, t_task, env.now,
-                        nbytes=task.profile.total_read_bytes)
-            t_gather = env.now
-            yield env.process(rt.fabric.gather(
-                self._gather_node(rt, task.pg, server_node),
-                task.profile.total_read_bytes,
-                self._helper_sources(rt, task.pg, task.profile)))
-            if rt.obs is not None:
-                rt.span("gather", track, t_gather, env.now,
-                        nbytes=task.profile.total_read_bytes)
-            codec_time = self._codec_time(task.profile.output_bytes,
-                                          task.is_rs)
-            rpc = self.config.repair_rpc_overhead
-            yield env.timeout(codec_time + rpc)
-            if rt.obs is not None:
-                rt.span("decode", track, env.now - rpc - codec_time,
-                        env.now - rpc, nbytes=task.profile.output_bytes)
-                rt.span("locate", track, env.now - rpc, env.now)
-            dest = pick_replacement(task.pg)
-            t_write = env.now
-            yield env.process(dest.write(1, task.profile.output_bytes, priority))
-            if rt.obs is not None:
-                rt.span("write", track, t_write, env.now,
-                        nbytes=task.profile.output_bytes, disk=dest.disk_id)
-                rt.span("recovery_task", track, t_task, env.now,
-                        weight=task.weight, nbytes=task.profile.output_bytes)
+        rt.on_disk_failure(on_crash)
 
         def server_loop(server_node: int):
             weight_used = [0]
             wake = [env.event()]
 
-            def wrapper(task: _RecoveryTask):
-                yield env.process(run_task(task, server_node))
-                meta["tasks_completed"] += 1
-                if c_tasks is not None:
-                    c_tasks.inc()
-                    c_bytes.inc(task.profile.output_bytes)
-                weight_used[0] -= task.weight
-                old, wake[0] = wake[0], env.event()
-                old.succeed()
-
-            def wrapper_faulted(task: _RecoveryTask):
-                status, requeued = yield env.process(self._run_task_faulted(
+            def serve(task: _RecoveryTask):
+                status, requeued = yield env.process(self._recover_task(
                     rt, task, server_node, priority, failed_disks,
                     pick_replacement, meta))
                 if status == "done":
@@ -1509,13 +1418,10 @@ class RCStor:
                             attempts=task.attempts,
                             nbytes=task.profile.output_bytes)
                     done_weight[0] += task.weight
-                if rt.faults.has_progress_events:
-                    rt.faults.notify_progress(done_weight[0] / total_weight)
+                rt.notify_progress(done_weight[0] / total_weight)
                 weight_used[0] -= task.weight
                 old, wake[0] = wake[0], env.event()
                 old.succeed()
-
-            run_one = wrapper if rt.faults is None else wrapper_faulted
 
             while True:
                 if not tasks:
@@ -1525,7 +1431,7 @@ class RCStor:
                 elif weight_used[0] + tasks[0].weight <= limit or weight_used[0] == 0:
                     task = tasks.popleft()
                     weight_used[0] += task.weight
-                    env.process(run_one(task))
+                    env.process(serve(task))
                     # Yield the queue so servers pull round-robin rather than
                     # one server draining the queue up to its weight cap.
                     yield env.timeout(0)
@@ -1548,24 +1454,17 @@ class RCStor:
         regenerates, and writes to a replacement disk.
 
         ``faults`` (optional) replays a :class:`~repro.faults.FaultPlan`
-        during the run: tasks then use the failure-aware path (hedged
-        helper reads, requeue on replacement-disk death), a second failure
-        mid-recovery escalates affected PGs to the multi-failure decode,
-        and the report carries the requeue/escalate/abandon counts.
+        during the run: the fault ladder then fires (hedged helper reads,
+        requeue on replacement-disk death), a second failure mid-recovery
+        escalates affected PGs to the multi-failure decode, and the report
+        carries the requeue/escalate/abandon counts.
         """
         rt = _Runtime(self.config, seed, self.obs,
-                      label=f"{self.name}/recovery", faults=faults)
-        env = rt.env
-        if busy:
-            start_foreground_load(
-                env, rt.disks, rt.seed,
-                utilization=self.config.foreground_utilization,
-                mean_read_bytes=self.config.foreground_read_bytes)
-        start = env.now
+                      label=f"{self.name}/recovery", faults=faults, busy=busy)
         done, meta = self._start_recovery(rt, failed_disk,
                                           weight_limit=weight_limit)
-        env.run(done)
-        return self._finish_recovery(rt, meta, env.now - start)
+        rt.env.run(done)
+        return self._finish_recovery(rt, meta, rt.env.now)
 
     def measure_degraded_reads_during_recovery(
             self, objects: list[StoredObject], failed_disk: int,
@@ -1592,13 +1491,11 @@ class RCStor:
                 client = rt.client(self.config.client_gbps)
                 result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
                 t0 = env.now
-                if self.layout.spans_disks:
-                    failed_role = idx % self.config.k
-                    yield env.process(self._degraded_striped_proc(
-                        rt, obj, failed_role, client, result))
-                else:
-                    yield env.process(self._degraded_single_disk_proc(
-                        rt, obj, client, result))
+                # Sampling mode (``failed_disk=None``): striped objects
+                # fail data role ``idx % k`` rather than the recovering
+                # disk's role.
+                yield env.process(self._degraded_read(
+                    rt, idx, obj, None, client, result))
                 result.total_time = env.now - t0
                 results.append(result)
                 if rt.obs is not None:
@@ -1606,8 +1503,6 @@ class RCStor:
                             size=obj.size, repair_s=result.repair_time,
                             transfer_s=result.transfer_time)
 
-        start = env.now
         reads = env.process(reader())
         env.run(env.all_of([recovery_done, reads]))
-        report = self._finish_recovery(rt, meta, env.now - start)
-        return results, report
+        return results, self._finish_recovery(rt, meta, env.now)

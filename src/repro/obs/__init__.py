@@ -41,7 +41,6 @@ from repro.obs.observer import (
     Observer,
     get_default_observer,
     observed,
-    set_default_observer,
 )
 from repro.obs.profile import (
     PROFILE_SCHEMA,
@@ -98,7 +97,6 @@ __all__ = [
     "merge_snapshots",
     "merge_trace_events",
     "observed",
-    "set_default_observer",
     "snapshot",
     "summarize",
     "Span",

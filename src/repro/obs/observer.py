@@ -12,15 +12,12 @@ argument through every experiment module.  The default lives in a
 :class:`contextvars.ContextVar`, not a module global: each scenario unit
 the runner executes — whether inline or inside a worker process — installs
 its own observer with :func:`observed` and ships a summary back, so
-parallel and serial runs observe bit-identically.  The legacy
-process-global mutators :func:`set_default_observer` /
-:func:`get_default_observer` remain as thin deprecated shims over the
-context variable.
+parallel and serial runs observe bit-identically;
+:func:`get_default_observer` reads it.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -99,24 +96,6 @@ class Observer:
 
 _default_observer: ContextVar[Observer | None] = ContextVar(
     "repro_default_observer", default=None)
-
-
-def set_default_observer(obs: Observer | None) -> Observer | None:
-    """Install (or clear, with ``None``) the default observer.
-
-    Returns the previous default so callers can restore it.
-
-    .. deprecated::
-        Use :func:`observed` instead — it scopes the observer to a block
-        (and, via :class:`contextvars.ContextVar`, to the current execution
-        context), which is what the parallel experiment runner requires.
-    """
-    warnings.warn(
-        "set_default_observer() is deprecated; scope observers with "
-        "repro.obs.observed() instead", DeprecationWarning, stacklevel=2)
-    previous = _default_observer.get()
-    _default_observer.set(obs)
-    return previous
 
 
 def get_default_observer() -> Observer | None:

@@ -1,12 +1,14 @@
 """Failure-aware repair paths: hedged reads, fallback ladder, requeue,
 second-failure escalation, and the task-conservation invariant."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.analysis import attach_invariant_checker
 from repro.cluster import ClusterConfig, RCStor
-from repro.codes import ClayCode, RSCode
+from repro.codes import ClayCode, LRCCode, RSCode
 from repro.core import ContiguousLayout, GeometricLayout, StripeLayout
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import Observer
@@ -30,6 +32,28 @@ def _geo_clay(config, sizes, obs=None):
                     ClayCode(10, 4), obs=obs)
     system.ingest(sizes)
     return system
+
+
+#: Layout/code pairs covering every repair branch: single-disk
+#: regenerating (Geo, Con), striped regenerating (Stripe), striped scalar
+#: MDS (RS) and striped scalar non-MDS (LRC).
+_SCHEMES = {
+    "Geo-4M": lambda: (GeometricLayout(4 * MB, 2, max_chunk_size=256 * MB),
+                       ClayCode(10, 4)),
+    "Con-64M": lambda: (ContiguousLayout(64 * MB), ClayCode(10, 4)),
+    "Stripe": lambda: (StripeLayout(256 * 1024, 10), ClayCode(10, 4)),
+    "RS": lambda: (StripeLayout(256 * 1024, 10), RSCode(10, 4)),
+    "LRC": lambda: (StripeLayout(256 * 1024, 10), LRCCode(10, 2, 2)),
+}
+
+#: Arms an injector (and so the whole fault ladder) but never fires.
+_NEVER_FIRES = FaultPlan(events=(
+    FaultEvent("disk_slow", at=1e9, disk=1, factor=1.0),))
+
+
+def _reads_and_report(outcome):
+    reads, report = outcome
+    return [*reads, report]
 
 
 def _pg_buddy(system, disk):
@@ -56,6 +80,40 @@ class TestEmptyPlanIdentity:
                                                 faults=FaultPlan())
         assert [r.total_time for r in base] \
             == [r.total_time for r in faulted]
+
+    @pytest.mark.parametrize("entry", ["recovery", "node", "multi",
+                                       "idle-reads", "busy-reads",
+                                       "reads-during-recovery"])
+    @pytest.mark.parametrize("plan", [FaultPlan(), _NEVER_FIRES],
+                             ids=["empty", "never-fires"])
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    def test_plan_that_never_fires_changes_nothing(self, config, sizes,
+                                                   scheme, plan, entry):
+        """Fault-free repair is the fault ladder with no faults: a plan
+        that never fires leaves every result field as ``faults=None``."""
+        layout, code = _SCHEMES[scheme]()
+        system = RCStor(config, layout, code)
+        system.ingest(sizes)
+        objs = system.degraded_read_candidates(0)[:6]
+        buddy = _pg_buddy(system, 0)
+        run = {
+            "recovery": lambda faults: [
+                system.run_recovery(0, seed=3, faults=faults)],
+            "node": lambda faults: [
+                system.run_node_recovery(0, seed=3, faults=faults)],
+            "multi": lambda faults: [system.run_multi_failure_recovery(
+                [0, buddy], seed=3, faults=faults)],
+            "idle-reads": lambda faults: system.measure_degraded_reads(
+                objs, 0, seed=5, faults=faults),
+            "busy-reads": lambda faults: system.measure_degraded_reads(
+                objs, 0, busy=True, seed=5, faults=faults),
+            "reads-during-recovery": lambda faults: _reads_and_report(
+                system.measure_degraded_reads_during_recovery(
+                    objs, 0, seed=7, faults=faults)),
+        }[entry]
+        base = [asdict(r) for r in run(None)]
+        assert base
+        assert [asdict(r) for r in run(plan)] == base
 
 
 class TestStragglerHedging:

@@ -12,7 +12,7 @@ from repro.obs import (
     observed,
     write_chrome_trace,
 )
-from repro.obs.observer import get_default_observer, set_default_observer
+from repro.obs.observer import get_default_observer
 
 
 def test_process_and_track_registration():
@@ -163,15 +163,6 @@ def test_default_observer_context():
         with observed(Observer()) as inner:
             assert get_default_observer() is inner
         assert get_default_observer() is obs
-    assert get_default_observer() is None
-
-
-def test_set_default_observer_is_deprecated_but_works():
-    obs = Observer()
-    with pytest.warns(DeprecationWarning):
-        assert set_default_observer(obs) is None
-    with pytest.warns(DeprecationWarning):
-        assert set_default_observer(None) is obs
     assert get_default_observer() is None
 
 
