@@ -122,16 +122,9 @@ def serve_open_loop(system: RCStor, objects, times, tenant_ids, object_ids,
             and obj.object_id in degraded_ids
         if is_degraded:
             result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
-            hedge = hedge_s if hedge_ok else None
-            if system.layout.spans_disks:
-                failed_role = system.cluster.pgs[obj.pg_id].role_of(
-                    failed_disk)
-                yield env.process(system._degraded_striped_proc(
-                    rt, obj, failed_role, client, result,
-                    priority=lane, hedge_s=hedge))
-            else:
-                yield env.process(system._degraded_single_disk_proc(
-                    rt, obj, client, result, priority=lane, hedge_s=hedge))
+            yield env.process(system._degraded_read(
+                rt, i, obj, failed_disk, client, result, priority=lane,
+                hedge_s=hedge_s if hedge_ok else None))
             report.hedges_fired += result.hedges_fired
             report.hedge_wins += result.hedge_wins
         else:

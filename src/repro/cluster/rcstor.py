@@ -966,13 +966,17 @@ class RCStor:
     def _degraded_read(self, rt: _Runtime, idx: int, obj: StoredObject,
                        failed_disk: int | None, client: Link,
                        result: DegradedReadResult,
-                       byte_range: tuple[int, int] | None = None):
+                       byte_range: tuple[int, int] | None = None,
+                       priority: int = FOREGROUND,
+                       hedge_s: float | None = None):
         """The degraded-read generator for the ``idx``-th read of a read
         loop, dispatched on the layout (see :meth:`measure_degraded_reads`
-        for the ``failed_disk=None`` sampling mode)."""
+        for the ``failed_disk=None`` sampling mode); ``priority`` and
+        ``hedge_s`` pass through to the layout's read process."""
         if not self.layout.spans_disks:
             return self._degraded_single_disk_proc(rt, obj, client, result,
-                                                   byte_range)
+                                                   byte_range, priority,
+                                                   hedge_s)
         if failed_disk is not None:
             failed_role = self.cluster.pgs[obj.pg_id].role_of(failed_disk)
         elif byte_range is not None:
@@ -986,7 +990,8 @@ class RCStor:
         else:
             failed_role = idx % self.config.k
         return self._degraded_striped_proc(rt, obj, failed_role, client,
-                                           result, byte_range)
+                                           result, byte_range, priority,
+                                           hedge_s)
 
     def measure_degraded_reads(self, objects: list[StoredObject],
                                failed_disk: int | None,
@@ -1235,15 +1240,6 @@ class RCStor:
                 if not other:
                     tasks.append(task)
         tasks += self._build_multi_failure_tasks(sorted(failed), rt.invariants)
-        # Helpers must not read from any failed disk.
-        for i, task in enumerate(tasks):
-            failed_roles = self._failed_roles(task.pg, failed,
-                                              task.profile.failed_role)
-            if any(h.role in failed_roles for h in task.profile.helpers):
-                tasks[i] = _RecoveryTask(
-                    task.pg, self._repick_profile(task.profile, 0,
-                                                  failed_roles),
-                    task.weight, task.is_rs)
         done, meta = self._run_task_set(rt, deque(tasks), failed)
         rt.env.run(done)
         return self._finish_recovery(rt, meta, rt.env.now)

@@ -19,7 +19,6 @@ from repro.experiments.common import (
     SETTINGS,
     W1_SETTING,
     W2_SETTING,
-    ExperimentOptions,
     WorkloadSetting,
     build_system,
     cluster_config,
@@ -32,7 +31,6 @@ __all__ = [
     "SETTINGS",
     "W1_SETTING",
     "W2_SETTING",
-    "ExperimentOptions",
     "WorkloadSetting",
     "build_system",
     "cluster_config",

@@ -13,6 +13,7 @@ Examples::
     python -m repro.experiments all --jobs 4          # parallel fan-out
     python -m repro.experiments all --jobs 4          # second run: cached
     python -m repro.experiments fig10 --seed 7 --json # machine-readable
+    python -m repro.experiments chaos-tail --param factors=8
     python -m repro.experiments all --bench-out BENCH_experiments.json
     python -m repro.experiments fig13 --timeline --report fig13.html
     python -m repro.experiments all --profile            # wall-clock flame
@@ -22,227 +23,81 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
 import sys
 import time
-
-from repro.experiments.common import default
-
-
-# ----------------------------------------------------------------------
-# Experiment specs: (args) -> (scenario units, render function)
-# ----------------------------------------------------------------------
-def spec_table1(args):
-    from repro.experiments import table1
-
-    return table1.scenarios(), table1.render
+import types
+import typing
+from dataclasses import dataclass, field
+from typing import Callable
 
 
-def spec_table2(args):
-    from repro.experiments import table2
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment: ``scenarios``/``render`` are callables or names
+    in ``repro.experiments.<module>`` (imported on first use); no flag may
+    set a ``pinned`` keyword, and ``defaults`` yield to flags."""
 
-    return table2.scenarios(n_objects=args.n_objects), table2.render
-
-
-def spec_table3(args):
-    from repro.experiments import table3
-
-    return (table3.scenarios(args.workload, n_objects=args.n_objects),
-            table3.render)
-
-
-def spec_table4(args):
-    from repro.experiments import table4
-
-    return table4.scenarios(n_objects=args.n_objects), table4.render
+    module: str
+    scenarios: str | Callable = "scenarios"
+    render: str | Callable = "render"
+    pinned: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=dict)
 
 
-def spec_table5(args):
-    from repro.experiments import table5
-
-    return table5.scenarios(n_objects=args.n_objects), table5.render
-
-
-def spec_fig2(args):
-    from repro.experiments import fig2
-
-    return fig2.scenarios(), fig2.render
-
-
-def spec_fig4(args):
+def _fig4_scenarios():
+    """Figure 4 is shown with the disk-model calibration it rests on."""
     from repro.experiments import calibration, fig4
 
-    units = fig4.scenarios() + calibration.scenarios()
-
-    def render(results):
-        by = {r.name.rsplit("/", 1)[-1]: r for r in results}
-        return (fig4.render([by["chunk-size"]]) + "\n\n"
-                + calibration.render([by["calibration"]]))
-
-    return units, render
+    return fig4.scenarios() + calibration.scenarios()
 
 
-def spec_fig7(args):
-    from repro.experiments import fig7
+def _fig4_render(results):
+    from repro.experiments import calibration, fig4
 
-    return fig7.scenarios(n_objects=args.n_objects), fig7.render
-
-
-def spec_fig9(args):
-    from repro.experiments import tradeoff
-
-    return (tradeoff.scenarios("W1", n_objects=args.n_objects,
-                               n_requests=default(args.n_requests, 20)),
-            tradeoff.render)
+    by = {r.name.rsplit("/", 1)[-1]: r for r in results}
+    return (fig4.render([by["chunk-size"]]) + "\n\n"
+            + calibration.render([by["calibration"]]))
 
 
-def spec_fig10(args):
-    from repro.experiments import tradeoff
-
-    return (tradeoff.scenarios("W2", n_objects=args.n_objects,
-                               n_requests=default(args.n_requests, 20)),
-            tradeoff.render)
-
-
-def spec_fig11(args):
-    from repro.experiments import fig11_fig12
-
-    return (fig11_fig12.scenarios("W1", n_objects=args.n_objects),
-            fig11_fig12.render)
-
-
-def spec_fig12(args):
-    from repro.experiments import fig11_fig12
-
-    return (fig11_fig12.scenarios("W2", n_objects=args.n_objects),
-            fig11_fig12.render)
-
-
-def spec_fig13(args):
-    from repro.experiments import fig13
-
-    return fig13.scenarios(n_objects=args.n_objects), fig13.render
-
-
-def spec_fig14(args):
-    from repro.experiments import fig14
-
-    return (fig14.scenarios(args.workload, n_objects=args.n_objects),
-            fig14.render)
-
-
-def spec_breakdown(args):
-    from repro.experiments import breakdown
-
-    return (breakdown.scenarios(args.workload, n_objects=args.n_objects),
-            breakdown.render)
-
-
-def spec_range(args):
-    from repro.experiments import range_access
-
-    return (range_access.scenarios(n_objects=args.n_objects),
-            range_access.render)
-
-
-def spec_headline(args):
+def _headline_scenarios(n_objects: int | None = None):
+    """The headline at one scale knob: W2 ingests 10x W1's object count."""
     from repro.experiments import headline
 
-    n_w2 = args.n_objects * 10 if args.n_objects is not None else None
-    return (headline.scenarios(n_objects_w1=args.n_objects,
-                               n_objects_w2=n_w2),
-            headline.render)
+    n_w2 = n_objects * 10 if n_objects is not None else None
+    return headline.scenarios(n_objects_w1=n_objects, n_objects_w2=n_w2)
 
 
-def spec_durability(args):
-    from repro.experiments import durability
+W1, W2 = {"setting": "W1"}, {"setting": "W2"}
 
-    return durability.scenarios(n_objects=args.n_objects), durability.render
-
-
-def spec_ablations(args):
-    from repro.experiments import ablations
-
-    return (ablations.scenarios(args.workload, n_objects=args.n_objects),
-            ablations.render)
-
-
-def _fault_doc(args):
-    """The fault plan named by ``--faults``, as a JSON-safe doc."""
-    if args.faults is None:
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.load(args.faults).to_doc()
-
-
-def spec_chaos_tail(args):
-    from repro.experiments import chaos
-
-    factors = (args.straggler,) if args.straggler is not None else None
-    return (chaos.tail_scenarios(args.workload, n_objects=args.n_objects,
-                                 n_requests=args.n_requests,
-                                 factors=factors, faults=_fault_doc(args)),
-            chaos.render_tail)
-
-
-def spec_chaos_recovery(args):
-    from repro.experiments import chaos
-
-    return (chaos.second_failure_scenarios(args.workload,
-                                           n_objects=args.n_objects,
-                                           faults=_fault_doc(args)),
-            chaos.render_second_failure)
-
-
-def spec_placement_matrix(args):
-    from repro.experiments import placement_matrix
-
-    policies = (tuple(p for p in args.policies.split(",") if p)
-                if args.policies else None)
-    return (placement_matrix.scenarios(args.workload,
-                                       n_objects=args.n_objects,
-                                       n_requests=args.n_requests,
-                                       policies=policies),
-            placement_matrix.render)
-
-
-def spec_durability_frontier(args):
-    from repro.experiments import durability_frontier
-
-    policies = (tuple(p for p in args.policies.split(",") if p)
-                if args.policies else None)
-    return (durability_frontier.scenarios(
-        n_objects=args.n_objects, policies=policies,
-        n_disks=args.fleet_disks, years=args.fleet_years,
-        reps=args.reps, n_trials=args.trials),
-        durability_frontier.render)
-
-
-def spec_traffic_frontier(args):
-    from repro.experiments import traffic_frontier
-
-    rates = (tuple(float(r) for r in args.arrival_rate.split(",") if r)
-             if args.arrival_rate else None)
-    return (traffic_frontier.scenarios(
-        n_objects=args.n_objects, rates=rates, n_tenants=args.tenants,
-        hedge_ms=args.hedge_ms),
-        traffic_frontier.render)
-
-
-SPECS = {
-    "table1": spec_table1, "table2": spec_table2, "table3": spec_table3,
-    "table4": spec_table4, "table5": spec_table5,
-    "fig2": spec_fig2, "fig4": spec_fig4, "fig7": spec_fig7,
-    "fig9": spec_fig9, "fig10": spec_fig10, "fig11": spec_fig11,
-    "fig12": spec_fig12, "fig13": spec_fig13, "fig14": spec_fig14,
-    "breakdown": spec_breakdown, "range": spec_range,
-    "headline": spec_headline, "ablations": spec_ablations,
-    "durability": spec_durability,
-    "chaos-tail": spec_chaos_tail, "chaos-recovery": spec_chaos_recovery,
-    "placement-matrix": spec_placement_matrix,
-    "durability-frontier": spec_durability_frontier,
-    "traffic-frontier": spec_traffic_frontier,
+REGISTRY = {
+    "table1": Experiment("table1"),
+    "table2": Experiment("table2"),
+    "table3": Experiment("table3", defaults=W1),
+    "table4": Experiment("table4", pinned=W1),
+    "table5": Experiment("table5", pinned=W1),
+    "fig2": Experiment("fig2"),
+    "fig4": Experiment("fig4", _fig4_scenarios, _fig4_render),
+    "fig7": Experiment("fig7"),
+    "fig9": Experiment("tradeoff", pinned=W1, defaults={"n_requests": 20}),
+    "fig10": Experiment("tradeoff", pinned=W2, defaults={"n_requests": 20}),
+    "fig11": Experiment("fig11_fig12", pinned=W1),
+    "fig12": Experiment("fig11_fig12", pinned=W2),
+    "fig13": Experiment("fig13", pinned=W1),
+    "fig14": Experiment("fig14"),
+    "breakdown": Experiment("breakdown"),
+    "range": Experiment("range_access", pinned=W1),
+    "headline": Experiment("headline", _headline_scenarios),
+    "ablations": Experiment("ablations"),
+    "durability": Experiment("durability"),
+    "chaos-tail": Experiment("chaos", "tail_scenarios", "render_tail"),
+    "chaos-recovery": Experiment("chaos", "second_failure_scenarios",
+                                 "render_second_failure"),
+    "placement-matrix": Experiment("placement_matrix"),
+    "durability-frontier": Experiment("durability_frontier"),
+    "traffic-frontier": Experiment("traffic_frontier"),
 }
 
 #: Experiments beyond the paper's own tables and figures.  ``all`` is the
@@ -252,56 +107,100 @@ SPECS = {
 EXTENSIONS = frozenset({"placement-matrix", "durability-frontier",
                         "traffic-frontier"})
 
+#: ``scenarios()`` keywords that have their own flag, so ``--param``
+#: leaves them alone.
+FLAG_KEYWORDS = frozenset({"n_objects", "n_requests", "setting", "faults"})
+
+
+def _load(module: str, ref: str | Callable) -> Callable:
+    """A registry function: a callable, or a name in ``<module>``."""
+    if callable(ref):
+        return ref
+    return getattr(importlib.import_module(f"repro.experiments.{module}"),
+                   ref)
+
+
+def _convert(annotation, text: str):
+    """``text`` as a value of a ``scenarios()`` keyword's annotation: int,
+    float, str, bool (``true``/``false`` only), or a tuple/list of those
+    given as a comma list; ``X | None`` unwraps to ``X``."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        rest = [a for a in args if a is not type(None)]
+        if len(rest) == 1:
+            return _convert(rest[0], text)
+    elif origin in (tuple, list) and args:
+        return origin(_convert(args[0], item)
+                      for item in text.split(",") if item)
+    elif annotation is bool and text in ("true", "false"):
+        return text == "true"
+    elif annotation in (int, float, str):
+        return annotation(text)
+    raise ValueError(f"cannot convert {text!r} to "
+                     f"{getattr(annotation, '__name__', annotation)}")
+
+
+def _build(parser: argparse.ArgumentParser, name: str, args):
+    """``(units, render)`` of one experiment under the CLI's flags; a flag
+    the experiment cannot take exits with status 2."""
+    exp = REGISTRY[name]
+    scenarios = _load(exp.module, exp.scenarios)
+    params = inspect.signature(scenarios, eval_str=True).parameters
+    keys = [p for p in params if p not in exp.pinned.keys() | FLAG_KEYWORDS]
+
+    def reject(what: str):
+        parser.error(f"{name}: {what}; its --param keywords are: "
+                     f"{', '.join(keys) or 'none'}")
+
+    kwargs = dict(exp.defaults)
+    # Suite-wide scale: passed where taken, skipped elsewhere (``all``).
+    for key in ("n_objects", "n_requests"):
+        if getattr(args, key) is not None and key in params:
+            kwargs[key] = getattr(args, key)
+    for flag, key, value in (("--workload", "setting", args.workload),
+                             ("--faults", "faults", args.faults)):
+        if value is not None and (key not in params or key in exp.pinned):
+            reject(f"{flag} sets {key!r}, which {name} "
+                   + ("pins" if key in params else "does not take"))
+    if args.workload is not None:
+        kwargs["setting"] = args.workload
+    if args.faults is not None:
+        from repro.faults import FaultPlan
+
+        kwargs["faults"] = FaultPlan.load(args.faults).to_doc()
+    for item in args.param:
+        key, sep, text = item.partition("=")
+        if not sep or key not in keys:
+            reject(f"--param {item!r}: not NAME=VALUE for an accepted keyword")
+        try:
+            kwargs[key] = _convert(params[key].annotation, text)
+        except ValueError as exc:
+            reject(f"--param {item!r}: {exc}")
+    return scenarios(**kwargs, **exp.pinned), _load(exp.module, exp.render)
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("experiment",
-                        choices=sorted(SPECS) + ["all"],
+                        choices=sorted(REGISTRY) + ["all"],
                         help="which table/figure to regenerate")
     parser.add_argument("--n-objects", type=int, default=None,
                         help="workload scale (defaults are per-experiment)")
     parser.add_argument("--n-requests", type=int, default=None,
-                        help="degraded-read sample size (fig9/fig10)")
-    parser.add_argument("--workload", choices=["W1", "W2"], default="W1",
-                        help="workload for workload-parametric experiments")
+                        help="degraded-read sample size (defaults are "
+                             "per-experiment)")
+    parser.add_argument("--workload", choices=["W1", "W2"], default=None,
+                        help="the setting of W1/W2-parametric experiments")
     parser.add_argument("--faults", metavar="PLAN.json", default=None,
-                        help="inject a fault plan (repro.faults JSON) into "
-                             "the chaos experiments instead of their "
-                             "built-in plans")
-    parser.add_argument("--straggler", type=float, default=None,
-                        metavar="FACTOR",
-                        help="chaos-tail: sweep only this straggler "
-                             "slow-factor instead of the default grid")
-    parser.add_argument("--policies", metavar="A,B,...", default=None,
-                        help="placement-matrix / durability-frontier: "
-                             "comma-separated placement policies to sweep "
-                             "instead of the experiment's default set "
-                             "(flat_random,rack_aware,copyset)")
-    parser.add_argument("--fleet-disks", type=int, default=None,
-                        help="durability-frontier: fleet size in disks "
-                             "(default 10240; multiple of 8)")
-    parser.add_argument("--fleet-years", type=float, default=None,
-                        help="durability-frontier: simulated years per "
-                             "Monte-Carlo trial (default 10)")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="durability-frontier: seed-group repetitions "
-                             "of the whole grid (default 3)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="durability-frontier: Monte-Carlo trials per "
-                             "grid point and repair speed (default 2)")
-    parser.add_argument("--arrival-rate", metavar="R1,R2,...", default=None,
-                        help="traffic-frontier: comma-separated mean "
-                             "arrival rates (requests/s) to sweep instead "
-                             "of the default (40,160)")
-    parser.add_argument("--tenants", type=int, default=None, metavar="N",
-                        help="traffic-frontier: serve only the first N "
-                             "tenant presets (shares renormalised; "
-                             "default: all three)")
-    parser.add_argument("--hedge-ms", type=float, default=None,
-                        help="traffic-frontier: hedge timeout in ms for "
-                             "hedged cells (default 200)")
+                        help="a repro.faults JSON plan for the chaos "
+                             "experiments, instead of their built-in plans")
+    parser.add_argument("--param", action="append", default=[],
+                        metavar="NAME=VALUE",
+                        help="set a keyword of the experiment's scenarios() "
+                             "(int, float, str, true/false, or a comma "
+                             "list); repeatable")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run scenario units on N worker processes "
                              "(identical rows for any N)")
@@ -378,16 +277,17 @@ def _progress_printer():
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the CLI runner."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
 
     from repro.runner import Capture, RunOptions, run_scenarios
 
-    names = (sorted(n for n in SPECS if n not in EXTENSIONS)
+    names = (sorted(n for n in REGISTRY if n not in EXTENSIONS)
              if args.experiment == "all" else [args.experiment])
     units = []
     sections = []  # (name, first unit index, one-past-last, render)
     for name in names:
-        scenarios, render = SPECS[name](args)
+        scenarios, render = _build(parser, name, args)
         scenarios = [s.prefixed(name) for s in scenarios]
         sections.append((name, len(units), len(units) + len(scenarios),
                          render))

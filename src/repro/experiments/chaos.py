@@ -15,7 +15,8 @@ Two experiments built on :mod:`repro.faults`:
   is lost.
 
 Both accept an explicit fault plan (CLI ``--faults plan.json``), and
-chaos-tail's straggler grid can be overridden with ``--straggler``.
+chaos-tail's straggler grid can be overridden with ``--param
+factors=F1,F2``.
 """
 
 from __future__ import annotations

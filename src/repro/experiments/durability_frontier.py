@@ -30,8 +30,9 @@ where faster repair stops buying durability.
 
 Not part of ``python -m repro.experiments all`` (that set is pinned
 byte-for-byte by ``results/expected_all_300.json.gz``); run it as
-``python -m repro.experiments durability-frontier [--policies a,b]
-[--fleet-disks N] [--fleet-years Y] [--reps R] [--trials T]``.
+``python -m repro.experiments durability-frontier [--param policies=a,b]
+[--param n_disks=N] [--param years=Y] [--param reps=R]
+[--param n_trials=T]``.
 """
 
 from __future__ import annotations

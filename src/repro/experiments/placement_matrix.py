@@ -20,7 +20,7 @@ fatal failure combinations.
 
 Not part of ``python -m repro.experiments all`` (that set is pinned
 byte-for-byte by ``results/expected_all_300.json.gz``); run it as
-``python -m repro.experiments placement-matrix [--policies a,b]``.
+``python -m repro.experiments placement-matrix [--param policies=a,b]``.
 """
 
 from __future__ import annotations

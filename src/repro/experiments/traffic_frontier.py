@@ -24,8 +24,8 @@ popularity map — the comparison is over policies, never over draws.
 Not part of ``python -m repro.experiments all`` (that set is pinned
 byte-for-byte by ``results/expected_all_300.json.gz``; open-loop serving
 was added later and would perturb the fixture).  Run it as
-``python -m repro.experiments traffic-frontier [--arrival-rate R1,R2]
-[--tenants N] [--hedge-ms MS]``.
+``python -m repro.experiments traffic-frontier [--param rates=R1,R2]
+[--param n_tenants=N] [--param hedge_ms=MS]``.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def frontier_tenants(n_tenants: int | None = None) -> tuple[TenantSpec, ...]:
     presets = DEFAULT_TENANTS
     if n_tenants is not None:
         if not 1 <= n_tenants <= len(presets):
-            raise ValueError(f"--tenants must be 1..{len(presets)}")
+            raise ValueError(f"n_tenants must be 1..{len(presets)}")
         presets = presets[:n_tenants]
     total = sum(t.share for t in presets)
     specs = tuple(replace(t, share=t.share / total,

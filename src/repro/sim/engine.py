@@ -345,9 +345,6 @@ class Environment:
         if hook is not None:
             hook(when, event)
 
-    def _schedule_callbacks(self, event: Event) -> None:
-        self._schedule_at(self.now, event)
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------

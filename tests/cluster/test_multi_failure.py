@@ -66,7 +66,13 @@ def test_shared_pgs_fall_back_to_full_decode(system):
 def test_multi_failure_helpers_avoid_failed_disks(system):
     d1, d2 = _shared_pg_disks(system)
     tasks = system._build_multi_failure_tasks([d1, d2])
-    for task in tasks:
+    # run_multi_failure_recovery also keeps each disk's single-failure
+    # tasks whose PG holds no other failed disk.
+    singles = [t for disk, other in ((d1, d2), (d2, d1))
+               for t in system._build_recovery_tasks(disk)
+               if other not in t.pg]
+    assert tasks and singles
+    for task in tasks + singles:
         failed_roles = {task.pg.role_of(d) for d in (d1, d2) if d in task.pg}
         for helper in task.profile.helpers:
             assert helper.role not in failed_roles

@@ -1,5 +1,6 @@
-"""Chaos experiments: CLI flags, fault determinism across ``--jobs`` and
-cache hits, and the straggler-degrades-tail acceptance property."""
+"""Chaos experiments: CLI flags and params, fault determinism across
+``--jobs`` and cache hits, and the straggler-degrades-tail acceptance
+property."""
 
 import json
 
@@ -26,7 +27,7 @@ class TestFaultDeterminism:
 
     def test_chaos_tail_identical_across_jobs_and_cache(self, tmp_path,
                                                         capsys):
-        args = ["chaos-tail", *SCALE, "--straggler", "8", "--seed", "5",
+        args = ["chaos-tail", *SCALE, "--param", "factors=8", "--seed", "5",
                 "--cache-dir", str(tmp_path)]
         parallel_cold = _run_json(capsys, args + ["--jobs", "4"])
         warm = _run_json(capsys, args + ["--jobs", "1"])
@@ -45,8 +46,8 @@ class TestFaultDeterminism:
 
 
 class TestChaosFlags:
-    def test_straggler_flag_narrows_the_grid(self, tmp_path, capsys):
-        out = _run_json(capsys, ["chaos-tail", *SCALE, "--straggler", "4",
+    def test_factors_param_narrows_the_grid(self, tmp_path, capsys):
+        out = _run_json(capsys, ["chaos-tail", *SCALE, "--param", "factors=4",
                                  "--cache-dir", str(tmp_path)])
         rows = _rows(out, "chaos-tail")
         assert rows
@@ -59,7 +60,7 @@ class TestChaosFlags:
                         "factor": 8.0}],
             "helper_timeout": 0.05,
         }))
-        out = _run_json(capsys, ["chaos-tail", *SCALE, "--straggler", "4",
+        out = _run_json(capsys, ["chaos-tail", *SCALE, "--param", "factors=4",
                                  "--faults", str(plan_path),
                                  "--no-cache"])
         doc = json.loads(out)
@@ -74,10 +75,12 @@ class TestChaosFlags:
 class TestAcceptance:
     def test_straggler_degrades_pipelined_p99_with_clean_invariants(
             self, tmp_path, capsys):
-        base = _run_json(capsys, ["chaos-tail", *SCALE, "--straggler", "1",
+        base = _run_json(capsys, ["chaos-tail", *SCALE,
+                                  "--param", "factors=1",
                                   "--check-invariants",
                                   "--cache-dir", str(tmp_path)])
-        slow = _run_json(capsys, ["chaos-tail", *SCALE, "--straggler", "16",
+        slow = _run_json(capsys, ["chaos-tail", *SCALE,
+                                  "--param", "factors=16",
                                   "--check-invariants",
                                   "--cache-dir", str(tmp_path)])
         assert "0 leaked grants" in base and "0 leaked grants" in slow

@@ -1,10 +1,17 @@
 """Tests for the ``python -m repro.experiments`` runner CLI."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.experiments.__main__ import EXTENSIONS, SPECS, main
+from repro.experiments.__main__ import (
+    EXTENSIONS,
+    REGISTRY,
+    _convert,
+    _load,
+    main,
+)
 
 
 def test_experiment_registry_covers_the_paper():
@@ -12,12 +19,21 @@ def test_experiment_registry_covers_the_paper():
                 "fig2", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12",
                 "fig13", "fig14", "breakdown", "range", "headline",
                 "ablations", "durability", "chaos-tail", "chaos-recovery"}
-    assert expected == set(SPECS) - EXTENSIONS
+    assert expected == set(REGISTRY) - EXTENSIONS
     # Extensions are runnable but excluded from ``all`` (its output is
     # pinned byte-for-byte by results/expected_all_300.json.gz).
     assert EXTENSIONS == {"placement-matrix", "durability-frontier",
                           "traffic-frontier"}
-    assert EXTENSIONS <= set(SPECS)
+    assert EXTENSIONS <= set(REGISTRY)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_keywords_are_scenarios_parameters(name):
+    exp = REGISTRY[name]
+    params = inspect.signature(_load(exp.module, exp.scenarios),
+                               eval_str=True).parameters
+    assert set(exp.pinned) | set(exp.defaults) <= set(params)
+    assert not set(exp.pinned) & set(exp.defaults)
 
 
 def test_cli_table1(tmp_path, capsys):
@@ -50,6 +66,59 @@ def test_cli_workload_flag(tmp_path, capsys):
 def test_cli_rejects_unknown():
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+@pytest.mark.parametrize("args, fragments", [
+    (["chaos-tail", "--param", "straggler=16"],
+     ["chaos-tail:", "'straggler=16'", "its --param keywords are: factors"]),
+    (["chaos-tail", "--param", "factors"], ["NAME=VALUE"]),
+    # Pinned keywords: fig9 is the tradeoff on W1, whichever flag asks.
+    (["fig9", "--workload", "W2"],
+     ["fig9:", "pins", "its --param keywords are: schemes, include_busy"]),
+    (["fig9", "--param", "setting=W2"], ["fig9:", "'setting=W2'"]),
+    # Keywords with their own flag are not --param keywords.
+    (["fig13", "--param", "n_objects=100"],
+     ["its --param keywords are: bandwidths"]),
+    # Checked before the plan file is read.
+    (["fig13", "--faults", "plan.json"], ["fig13:", "does not take"]),
+    (["table1", "--param", "k=ten"], ["table1:", "k, r, lrc_locals"]),
+    (["fig9", "--param", "include_busy=yes"],
+     ["cannot convert 'yes' to bool"]),
+])
+def test_cli_usage_errors_exit_2_naming_accepted_keywords(capsys, args,
+                                                          fragments):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_param_conversion_follows_annotations():
+    assert _convert(int, "7") == 7
+    assert _convert(float, "2.5") == 2.5
+    assert _convert(bool, "true") is True
+    assert _convert(bool, "false") is False
+    assert _convert(int | None, "3") == 3
+    assert _convert(tuple[float, ...] | None, "16,4") == (16.0, 4.0)
+    assert _convert(tuple[str, ...] | None, "a,,b") == ("a", "b")
+    assert _convert(list[str] | None, "RS") == ["RS"]
+    for annotation, text in ((bool, "True"), (bool, "1"), (int, "1.5"),
+                             (dict | None, "{}")):
+        with pytest.raises(ValueError):
+            _convert(annotation, text)
+
+
+def test_param_sets_scenario_keywords(tmp_path, capsys):
+    assert main(["table1", "--param", "k=6", "--param", "r=3",
+                 "--cache-dir", str(tmp_path)]) == 0
+    assert "Clay(6,3)" in capsys.readouterr().out
+    assert main(["fig13", "--n-objects", "100", "--param", "bandwidths=2",
+                 "--json", "--cache-dir", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (result,) = doc["experiments"]["fig13"]
+    assert result["provenance"]["params"]["gbps"] == 2.0
 
 
 def test_cli_reports_cache_status(tmp_path, capsys):

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import EXTENSIONS, SPECS, main
+from repro.experiments.__main__ import EXTENSIONS, REGISTRY, main
 from repro.experiments.common import setting_by_name
 from repro.experiments.placement_matrix import tiered_config
 
 
 def _run_matrix(tmp_path, capsys, extra=()):
     args = ["placement-matrix", "--n-objects", "150", "--n-requests", "3",
-            "--policies", "flat_random,rack_aware", "--json",
+            "--param", "policies=flat_random,rack_aware", "--json",
             "--cache-dir", str(tmp_path), *extra]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -63,11 +63,11 @@ def test_jobs_fanout_matches_serial_and_hits_cache(tmp_path, capsys):
 def test_all_excludes_placement_matrix():
     """``all`` output is pinned by results/expected_all_300.json.gz, so
     the extension must not leak into it."""
-    assert "placement-matrix" in SPECS
+    assert "placement-matrix" in REGISTRY
     assert "placement-matrix" in EXTENSIONS
 
 
 def test_unknown_policy_fails_fast(tmp_path):
     with pytest.raises(ValueError, match="rack_aware"):
-        main(["placement-matrix", "--policies", "best_effort",
+        main(["placement-matrix", "--param", "policies=best_effort",
               "--cache-dir", str(tmp_path)])
